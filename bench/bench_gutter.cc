@@ -2,11 +2,11 @@
 //
 // Generates a multigraph update stream (inserts + churn deletions) and
 // ingests it into a ConnectivitySketch through SketchDriver on ONE worker
-// at a sweep of gutter sizes — off (ungated half-update batching), tiny
-// (64 B/node ≈ 5 updates), and production-sized (4 KiB/node ≈ 341
-// updates) — so the measured delta is purely the gutter layer: per-node
-// coalescing plus the ApplyBatch fast path that hashes an endpoint's
-// sampler slices once per flush instead of once per update. A skewed
+// at two gutter sizes — tiny (64 B/node ≈ 5 updates) and the default
+// (4 KiB/node ≈ 341 updates) — so the measured delta is purely the gutter
+// layer: per-node coalescing plus the ApplyBatch fast path that hashes an
+// endpoint's sampler slices once per flush instead of once per update,
+// amortized over more updates the larger the gutter. A skewed
 // (hot-spot) stream shows the coalescing win separately from the
 // batching win. Linearity keeps every answer identical across settings
 // (ctest -L parity proves byte equality).
@@ -36,21 +36,18 @@ struct Sample {
 };
 
 Sample RunOnce(const DynamicGraphStream& stream, NodeId n,
-               size_t gutter_bytes, bool delta_mode = false) {
+               size_t gutter_bytes) {
   ConnectivitySketch sketch(n, ForestOptions{}, /*seed=*/1);
   DriverOptions opt;
   opt.num_workers = 1;
   opt.gutter_bytes = gutter_bytes;
-  opt.delta_mode = delta_mode;
   Sample out;
   bench::Timer timer;
   {
     SketchDriver<ConnectivitySketch> driver(&sketch, opt);
     driver.ProcessStream(stream);
-    if (driver.gutters() != nullptr) {
-      out.flushes = driver.gutters()->flushes();
-      out.coalesced = driver.gutters()->coalesced_halves();
-    }
+    out.flushes = driver.gutters()->flushes();
+    out.coalesced = driver.gutters()->coalesced_halves();
   }
   out.seconds = timer.Seconds();
   out.rate = static_cast<double>(stream.Size()) / out.seconds;
@@ -64,7 +61,7 @@ int Run(NodeId n, size_t updates) {
                 "batches through the ApplyBatch fast path; linearity "
                 "keeps answers identical at every setting");
 
-  const size_t kSweep[] = {0, 64, 4096};
+  const size_t kSweep[] = {64, 4096};
   bench::BenchJson json("E14", "gutter-buffered ingestion");
   json.Metric("n", static_cast<double>(n));
   json.Metric("stream_updates", static_cast<double>(updates));
@@ -91,36 +88,15 @@ int Run(NodeId n, size_t updates) {
     double base_rate = 0;
     for (size_t gutter : kSweep) {
       Sample s = RunOnce(w.stream, n, gutter);
-      if (gutter == 0) base_rate = s.rate;
-      std::string label =
-          gutter == 0 ? "off" : std::to_string(gutter) + "B";
+      if (base_rate == 0) base_rate = s.rate;
+      std::string label = std::to_string(gutter) + "B";
       bench::Row("%-12s %14.3f %14.0f %9.2fx %12llu %12llu %12zu",
                  label.c_str(), s.seconds, s.rate, s.rate / base_rate,
                  static_cast<unsigned long long>(s.flushes),
                  static_cast<unsigned long long>(s.coalesced),
                  s.components);
       std::string key = std::string("updates_per_sec_") + w.name + "_" +
-                        (gutter == 0 ? "off" : std::to_string(gutter) + "B");
-      json.Metric(key.c_str(), s.rate);
-    }
-    // Delta-merge rows on the same single worker: gutters off exercises
-    // the producer-side endpoint grouping, 4 KiB the gutter-fed arena
-    // path. The hot-spot stream is where delta mode exists (shared queue
-    // instead of one overloaded shard), and even single-worker it shows
-    // the vectorized batch cores.
-    for (size_t gutter : {size_t{0}, size_t{4096}}) {
-      Sample s = RunOnce(w.stream, n, gutter, /*delta_mode=*/true);
-      std::string label =
-          std::string("delta-") +
-          (gutter == 0 ? "off" : std::to_string(gutter) + "B");
-      bench::Row("%-12s %14.3f %14.0f %9.2fx %12llu %12llu %12zu",
-                 label.c_str(), s.seconds, s.rate, s.rate / base_rate,
-                 static_cast<unsigned long long>(s.flushes),
-                 static_cast<unsigned long long>(s.coalesced),
-                 s.components);
-      std::string key = std::string("updates_per_sec_") + w.name +
-                        "_delta_" +
-                        (gutter == 0 ? "off" : std::to_string(gutter) + "B");
+                        std::to_string(gutter) + "B";
       json.Metric(key.c_str(), s.rate);
     }
     std::printf("\n");

@@ -3,11 +3,10 @@
 // Generates a multigraph update stream (inserts + churn deletions), writes
 // it to a GSKB binary file, then ingests it into a ConnectivitySketch
 // through SketchDriver at increasing worker counts, reporting updates/sec
-// and speedup over one worker. Endpoint sharding gives workers disjoint
-// sketch state, so scaling is limited only by cores and the single
-// producer thread. A second sweep runs the work-stealing delta-merge mode
-// (gutter-fed per-node batches, vectorized batch cores, striped-lock
-// merge), which additionally survives hot-spot streams that pin one shard.
+// and speedup over one worker. The driver runs its one ingestion path:
+// 4 KiB per-node gutters flush dense batches into a shared queue, and any
+// worker applies any node's batch under that node's apply stripe, so
+// scaling is limited only by cores and the single producer thread.
 //
 // Usage: bench_ingest_driver [n] [num_updates] [max_threads]
 //   defaults: n=1024, num_updates=1000000, max_threads=8
@@ -29,7 +28,7 @@ namespace {
 
 int Run(NodeId n, size_t updates, uint32_t max_threads) {
   bench::Banner("E13", "parallel stream ingestion",
-                "endpoint-sharded workers scale ingestion with cores; "
+                "shared-queue workers scale ingestion with cores; "
                 "linearity keeps answers identical at every thread count");
   std::printf("hardware threads: %u\n", ResolveWorkerCount(0));
 
@@ -92,76 +91,6 @@ int Run(NodeId n, size_t updates, uint32_t max_threads) {
                rate, rate / base_rate, bytes_per_node,
                sketch.NumComponents());
   }
-  // One extra single-thread run with 4 KiB/node gutters: the same stream
-  // through the guttered ApplyBatch path, directly comparable with the
-  // plain 1-thread row (bench_gutter sweeps gutter sizes in depth).
-  {
-    ConnectivitySketch sketch(n, ForestOptions{}, /*seed=*/1);
-    DriverOptions opt;
-    opt.num_workers = 1;
-    opt.gutter_bytes = 4096;
-    BinaryStreamReader reader(path);
-    if (!reader.ok()) {
-      std::fprintf(stderr, "error: %s\n", reader.error().c_str());
-      return 1;
-    }
-    bench::Timer timer;
-    {
-      SketchDriver<ConnectivitySketch> driver(&sketch, opt);
-      std::string err;
-      if (!driver.ProcessFile(&reader, &err)) {
-        std::fprintf(stderr, "error: ingestion failed: %s\n", err.c_str());
-        return 1;
-      }
-    }
-    double seconds = timer.Seconds();
-    double rate = static_cast<double>(stream.Size()) / seconds;
-    bench::Row("%-8s %14.3f %14.0f %9.2fx %14s %12zu", "1+gutter", seconds,
-               rate, rate / base_rate, "-", sketch.NumComponents());
-    json.Metric("updates_per_sec_1thread_gutter4k", rate);
-  }
-  // Delta-merge sweep: work-stealing ingestion (any worker claims any
-  // batch, applies through per-batch delta arenas merged under striped
-  // locks) with 4 KiB gutters feeding it dense per-node batches. The
-  // 1-worker row isolates the vectorized batch cores; higher counts add
-  // the shared queue. Byte-identical to every row above (ctest -L parity).
-  double delta_base = 0.0;
-  double delta_best = 0.0;
-  for (uint32_t threads = 1; threads <= max_threads; threads *= 2) {
-    ConnectivitySketch sketch(n, ForestOptions{}, /*seed=*/1);
-    DriverOptions opt;
-    opt.num_workers = threads;
-    opt.gutter_bytes = 4096;
-    opt.delta_mode = true;
-    BinaryStreamReader reader(path);
-    if (!reader.ok()) {
-      std::fprintf(stderr, "error: %s\n", reader.error().c_str());
-      return 1;
-    }
-    uint32_t resolved = 0;
-    bench::Timer timer;
-    {
-      SketchDriver<ConnectivitySketch> driver(&sketch, opt);
-      resolved = driver.num_workers();
-      std::string err;
-      if (!driver.ProcessFile(&reader, &err)) {
-        std::fprintf(stderr, "error: ingestion failed: %s\n", err.c_str());
-        return 1;
-      }
-    }
-    double seconds = timer.Seconds();
-    double rate = static_cast<double>(stream.Size()) / seconds;
-    if (threads == 1) {
-      delta_base = rate;
-      json.Metric("updates_per_sec_delta_1thread_gutter4k", rate);
-    }
-    if (rate > delta_best) delta_best = rate;
-    std::string label = std::to_string(resolved) + "+delta";
-    bench::Row("%-8s %14.3f %14.0f %9.2fx %14s %12zu", label.c_str(),
-               seconds, rate, rate / delta_base, "-",
-               sketch.NumComponents());
-  }
-  json.Metric("updates_per_sec_delta_best", delta_best);
   json.Metric("updates_per_sec_best", best_rate);
   json.Metric("speedup_best", base_rate > 0 ? best_rate / base_rate : 0.0);
   json.Write();

@@ -82,49 +82,6 @@ void BipartitenessSketch::ApplyBatch(NodeId endpoint,
   cover_.ApplyBatch(endpoint + n_, others, deltas);
 }
 
-size_t BipartitenessSketch::AccumulateDelta(
-    NodeId endpoint, Span<const NodeId> others, Span<const int64_t> deltas,
-    std::vector<OneSparseCell>* scratch) const {
-  assert(others.size() == deltas.size());
-  const size_t base_cells = base_.DeltaCellsPerNode();
-  const size_t cover_cells = cover_.DeltaCellsPerNode();
-  scratch->assign(base_cells + 2 * cover_cells, OneSparseCell{});
-  std::vector<uint64_t> ids;
-  std::vector<int64_t> signed_deltas;
-  // Base graph: edges {endpoint, other}.
-  BatchEdgeIds(endpoint, others, deltas, &ids, &signed_deltas);
-  base_.AccumulateDeltaIds(ids.data(), signed_deltas.data(), ids.size(),
-                           scratch->data());
-  // Cover edges (endpoint, other+n): the half owned by cover node
-  // `endpoint`.
-  std::vector<NodeId> others_in_cover(others.size());
-  for (size_t i = 0; i < others.size(); ++i) {
-    others_in_cover[i] = others[i] + n_;
-  }
-  BatchEdgeIds(endpoint, others_in_cover, deltas, &ids, &signed_deltas);
-  cover_.AccumulateDeltaIds(ids.data(), signed_deltas.data(), ids.size(),
-                            scratch->data() + base_cells);
-  // Cover edges (other, endpoint+n): the half owned by cover node
-  // `endpoint+n`.
-  BatchEdgeIds(endpoint + n_, others, deltas, &ids, &signed_deltas);
-  cover_.AccumulateDeltaIds(ids.data(), signed_deltas.data(), ids.size(),
-                            scratch->data() + base_cells + cover_cells);
-  return base_cells + 2 * cover_cells;
-}
-
-void BipartitenessSketch::MergeDelta(NodeId endpoint,
-                                     const OneSparseCell* scratch,
-                                     size_t cells) {
-  const size_t base_cells = base_.DeltaCellsPerNode();
-  const size_t cover_cells = cover_.DeltaCellsPerNode();
-  assert(cells == base_cells + 2 * cover_cells);
-  (void)cells;
-  base_.MergeDelta(endpoint, scratch, base_cells);
-  cover_.MergeDelta(endpoint, scratch + base_cells, cover_cells);
-  cover_.MergeDelta(endpoint + n_, scratch + base_cells + cover_cells,
-                    cover_cells);
-}
-
 void BipartitenessSketch::Merge(const BipartitenessSketch& other) {
   base_.Merge(other.base_);
   cover_.Merge(other.cover_);
@@ -216,35 +173,6 @@ void ApproxMstSketch::ApplyBatch(NodeId endpoint, Span<const NodeId> others,
     forest.ApplyBatchIds(endpoint, ids.data(), signed_deltas.data(),
                          ids.size());
   }
-}
-
-size_t ApproxMstSketch::AccumulateDelta(
-    NodeId endpoint, Span<const NodeId> others, Span<const int64_t> deltas,
-    std::vector<OneSparseCell>* scratch) const {
-  std::vector<uint64_t> ids;
-  std::vector<int64_t> signed_deltas;
-  BatchEdgeIds(endpoint, others, deltas, &ids, &signed_deltas);
-  size_t total = 0;
-  for (const auto& f : forests_) total += f.DeltaCellsPerNode();
-  scratch->assign(total, OneSparseCell{});
-  OneSparseCell* out = scratch->data();
-  for (const auto& f : forests_) {
-    f.AccumulateDeltaIds(ids.data(), signed_deltas.data(), ids.size(), out);
-    out += f.DeltaCellsPerNode();
-  }
-  return total;
-}
-
-void ApproxMstSketch::MergeDelta(NodeId endpoint,
-                                 const OneSparseCell* scratch, size_t cells) {
-  const OneSparseCell* cur = scratch;
-  for (auto& f : forests_) {
-    const size_t f_cells = f.DeltaCellsPerNode();
-    f.MergeDelta(endpoint, cur, f_cells);
-    cur += f_cells;
-  }
-  assert(static_cast<size_t>(cur - scratch) == cells);
-  (void)cells;
 }
 
 namespace {

@@ -44,17 +44,6 @@ class ConnectivitySketch {
     forest_.ApplyBatch(endpoint, others, deltas);
   }
 
-  /// Delta-merge support (see SpanningForestSketch::AccumulateDelta).
-  size_t AccumulateDelta(NodeId endpoint, Span<const NodeId> others,
-                         Span<const int64_t> deltas,
-                         std::vector<OneSparseCell>* scratch) const {
-    return forest_.AccumulateDelta(endpoint, others, deltas, scratch);
-  }
-  void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                  size_t cells) {
-    forest_.MergeDelta(endpoint, scratch, cells);
-  }
-
   /// Adds another sketch with identical parameterization.
   void Merge(const ConnectivitySketch& other);
 
@@ -105,14 +94,6 @@ class BipartitenessSketch {
   /// halves the endpoint owns (cover nodes `endpoint` and `endpoint+n`).
   void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                   Span<const int64_t> deltas);
-
-  /// Delta-merge support: base segment plus the two cover halves the
-  /// endpoint owns (cover nodes `endpoint` and `endpoint+n`), back to back.
-  size_t AccumulateDelta(NodeId endpoint, Span<const NodeId> others,
-                         Span<const int64_t> deltas,
-                         std::vector<OneSparseCell>* scratch) const;
-  void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                  size_t cells);
 
   /// Adds another sketch with identical parameterization.
   void Merge(const BipartitenessSketch& other);
@@ -168,14 +149,6 @@ class ApproxMstSketch {
   void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                   Span<const int64_t> deltas);
 
-  /// Delta-merge support: one segment per threshold forest, sharing the
-  /// hashed edge ids (weight-1 batches feed every threshold).
-  size_t AccumulateDelta(NodeId endpoint, Span<const NodeId> others,
-                         Span<const int64_t> deltas,
-                         std::vector<OneSparseCell>* scratch) const;
-  void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                  size_t cells);
-
   /// Adds another sketch with identical parameterization.
   void Merge(const ApproxMstSketch& other);
 
@@ -224,17 +197,6 @@ class KConnectivityTester {
   void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                   Span<const int64_t> deltas) {
     witness_.ApplyBatch(endpoint, others, deltas);
-  }
-
-  /// Delta-merge support (delegates to the k-EDGECONNECT witness).
-  size_t AccumulateDelta(NodeId endpoint, Span<const NodeId> others,
-                         Span<const int64_t> deltas,
-                         std::vector<OneSparseCell>* scratch) const {
-    return witness_.AccumulateDelta(endpoint, others, deltas, scratch);
-  }
-  void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                  size_t cells) {
-    witness_.MergeDelta(endpoint, scratch, cells);
   }
 
   /// Adds another sketch with identical parameterization.

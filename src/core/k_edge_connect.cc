@@ -41,47 +41,6 @@ void KEdgeConnectSketch::ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
   }
 }
 
-size_t KEdgeConnectSketch::DeltaCellsPerNode() const {
-  size_t total = 0;
-  for (const auto& layer : layers_) total += layer.DeltaCellsPerNode();
-  return total;
-}
-
-void KEdgeConnectSketch::AccumulateDeltaIds(const uint64_t* ids,
-                                            const int64_t* signed_deltas,
-                                            size_t count,
-                                            OneSparseCell* scratch) const {
-  for (const auto& layer : layers_) {
-    layer.AccumulateDeltaIds(ids, signed_deltas, count, scratch);
-    scratch += layer.DeltaCellsPerNode();
-  }
-}
-
-size_t KEdgeConnectSketch::AccumulateDelta(
-    NodeId endpoint, Span<const NodeId> others, Span<const int64_t> deltas,
-    std::vector<OneSparseCell>* scratch) const {
-  std::vector<uint64_t> ids;
-  std::vector<int64_t> signed_deltas;
-  BatchEdgeIds(endpoint, others, deltas, &ids, &signed_deltas);
-  const size_t cells = DeltaCellsPerNode();
-  scratch->assign(cells, OneSparseCell{});
-  AccumulateDeltaIds(ids.data(), signed_deltas.data(), ids.size(),
-                     scratch->data());
-  return cells;
-}
-
-void KEdgeConnectSketch::MergeDelta(NodeId endpoint,
-                                    const OneSparseCell* scratch,
-                                    size_t cells) {
-  assert(cells == DeltaCellsPerNode());
-  (void)cells;
-  for (auto& layer : layers_) {
-    const size_t layer_cells = layer.DeltaCellsPerNode();
-    layer.MergeDelta(endpoint, scratch, layer_cells);
-    scratch += layer_cells;
-  }
-}
-
 void KEdgeConnectSketch::Merge(const KEdgeConnectSketch& other) {
   assert(layers_.size() == other.layers_.size());
   for (size_t i = 0; i < layers_.size(); ++i) layers_[i].Merge(other.layers_[i]);

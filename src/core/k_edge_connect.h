@@ -43,16 +43,6 @@ class KEdgeConnectSketch {
   void ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
                      const int64_t* signed_deltas, size_t count);
 
-  /// Delta-merge support across all k layers (see SpanningForestSketch).
-  size_t DeltaCellsPerNode() const;
-  void AccumulateDeltaIds(const uint64_t* ids, const int64_t* signed_deltas,
-                          size_t count, OneSparseCell* scratch) const;
-  size_t AccumulateDelta(NodeId endpoint, Span<const NodeId> others,
-                         Span<const int64_t> deltas,
-                         std::vector<OneSparseCell>* scratch) const;
-  void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                  size_t cells);
-
   /// Adds another sketch with identical parameterization.
   void Merge(const KEdgeConnectSketch& other);
 

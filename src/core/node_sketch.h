@@ -93,27 +93,6 @@ class NodeL0Bank {
                        signed_deltas, count);
   }
 
-  /// Cells in one node's arena slice — the size of the per-node delta a
-  /// work-stealing worker accumulates before merging (delta-mode driver).
-  size_t DeltaCells() const { return stride_; }
-
-  /// Accumulates a precomputed-id batch into `scratch`, a caller-zeroed
-  /// DeltaCells()-sized buffer laid out exactly like one node's arena
-  /// slice, touching no bank state. MergeDeltaAt(endpoint, scratch) is
-  /// then bit-identical to ApplyBatchIds(endpoint, ...): cell sums
-  /// commute, so accumulate-then-merge equals updating in place.
-  void AccumulateBatchIds(const uint64_t* ids, const int64_t* signed_deltas,
-                          size_t count, OneSparseCell* scratch) const {
-    L0CellsUpdateBatch(params_, scratch, ids, signed_deltas, count);
-  }
-
-  /// Adds a delta slice into `endpoint`'s live cells. The caller
-  /// serializes per-endpoint calls (striped per-node lock in the driver).
-  void MergeDeltaAt(NodeId endpoint, const OneSparseCell* scratch) {
-    OneSparseCell* slice = arena_.MutableSlice(endpoint);
-    for (size_t i = 0; i < stride_; ++i) slice[i].Merge(scratch[i]);
-  }
-
   /// View of a single node's sampler. On a quiescent bank (snapshots,
   /// drained drivers) the view is stable; on a live bank a concurrent
   /// writer's first-touch page clone invalidates it.
@@ -181,23 +160,6 @@ class NodeRecoveryBank {
                      const int64_t* signed_deltas, size_t count) {
     RecoveryCellsUpdateBatch(params_, arena_.MutableSlice(endpoint), ids,
                              signed_deltas, count);
-  }
-
-  /// Per-node delta slice size (see NodeL0Bank::DeltaCells).
-  size_t DeltaCells() const { return stride_; }
-
-  /// Accumulates a precomputed-id batch into a caller-zeroed scratch slice
-  /// (see NodeL0Bank::AccumulateBatchIds).
-  void AccumulateBatchIds(const uint64_t* ids, const int64_t* signed_deltas,
-                          size_t count, OneSparseCell* scratch) const {
-    RecoveryCellsUpdateBatch(params_, scratch, ids, signed_deltas, count);
-  }
-
-  /// Adds a delta slice into `endpoint`'s live cells (caller holds the
-  /// per-node lock).
-  void MergeDeltaAt(NodeId endpoint, const OneSparseCell* scratch) {
-    OneSparseCell* slice = arena_.MutableSlice(endpoint);
-    for (size_t i = 0; i < stride_; ++i) slice[i].Merge(scratch[i]);
   }
 
   /// View of a single node's sketch (stable on quiescent banks; see

@@ -89,26 +89,6 @@ class Adapter : public LinearSketch {
     }
   }
 
-  size_t AccumulateDelta(NodeId endpoint, Span<const NodeId> others,
-                         Span<const int64_t> deltas,
-                         std::vector<OneSparseCell>* scratch) const override {
-    if constexpr (AlgHasDeltaMerge<Sketch>::value) {
-      return sk_.AccumulateDelta(endpoint, others, deltas, scratch);
-    } else {
-      return LinearSketch::AccumulateDelta(endpoint, others, deltas,
-                                           scratch);
-    }
-  }
-
-  void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                  size_t cells) override {
-    if constexpr (AlgHasDeltaMerge<Sketch>::value) {
-      sk_.MergeDelta(endpoint, scratch, cells);
-    } else {
-      LinearSketch::MergeDelta(endpoint, scratch, cells);
-    }
-  }
-
   bool Merge(const LinearSketch& other, std::string* error) override {
     const auto* o = dynamic_cast<const Adapter*>(&other);
     if (o == nullptr) {

@@ -12,8 +12,8 @@
 // serving for free.
 //
 // The contract (LinearSketch):
-//   * UpdateEndpoint — the endpoint half-update the sharded driver feeds;
-//     the two halves of a token compose to the full update.
+//   * UpdateEndpoint — the endpoint half-update; the two halves of a
+//     token compose to the full update.
 //   * Merge         — sketch addition (requires identical construction:
 //     same n, options, and seed; structural mismatches are rejected).
 //   * AppendTo      — full-state serialization, byte-compatible with the
@@ -103,35 +103,6 @@ class LinearSketch {
     }
   }
 
-  /// Builds the batch for `endpoint` into `*scratch` — a reusable
-  /// thread-local delta arena the sketch resizes and zeroes — WITHOUT
-  /// touching shared sketch state, and returns the cells used. A return of
-  /// 0 means the family has no delta support and the caller must apply the
-  /// batch directly (under its lock). This is the work-stealing delta-merge
-  /// ingestion path (src/driver/sketch_driver.h, DriverOptions::delta_mode):
-  /// any worker accumulates any node's batch lock-free, then the short
-  /// MergeDelta below runs under a striped per-node lock. Linearity makes
-  /// accumulate-then-merge bit-identical to applying in place.
-  virtual size_t AccumulateDelta(NodeId endpoint, Span<const NodeId> others,
-                                 Span<const int64_t> deltas,
-                                 std::vector<OneSparseCell>* scratch) const {
-    (void)endpoint;
-    (void)others;
-    (void)deltas;
-    (void)scratch;
-    return 0;
-  }
-
-  /// Adds the first `cells` scratch cells (AccumulateDelta's return value)
-  /// into `endpoint`'s live state. The caller serializes per-endpoint
-  /// calls; only reached when AccumulateDelta returned nonzero.
-  virtual void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                          size_t cells) {
-    (void)endpoint;
-    (void)scratch;
-    (void)cells;
-  }
-
   /// Adds `other` (sketch addition). False with `*error` set when `other`
   /// is a different algorithm or structurally incompatible (different n or
   /// cell layout). Seeds are trusted: merging same-shaped sketches built
@@ -181,21 +152,9 @@ class LinearSketch {
   virtual void PrintAnswer(std::FILE* out) const = 0;
 
   /// True when distinct endpoints touch disjoint sketch state, making
-  /// multi-worker endpoint-sharded ingestion safe. False (SubgraphSketch)
-  /// restricts the driver to one worker.
+  /// multi-worker ingestion under per-endpoint locks safe. False
+  /// (SubgraphSketch) restricts the driver to one worker.
   virtual bool EndpointSharded() const { return true; }
-
-  /// True when the sketch map is linear in delta per (u, v) — i.e. two
-  /// (u, v, +1) tokens update exactly the cells one (u, v, +2) token
-  /// does — which lets gutters fold duplicate edges by delta addition.
-  /// A sketch that routes tokens by the delta's magnitude must return
-  /// false so the driver buffers every token verbatim. No registered
-  /// family needs that today — the weighted sparsifier derives each
-  /// edge's weight from (u, v), not from delta, precisely to stay
-  /// linear — but the escape hatch is load-bearing for any future
-  /// delta-shaped routing (tests/gutter_test.cc pins the verbatim
-  /// buffering).
-  virtual bool CoalesceSafe() const { return true; }
 };
 
 /// Detects whether an algorithm type implements the dense same-endpoint
@@ -212,25 +171,6 @@ struct AlgHasApplyBatch<
     Alg, std::void_t<decltype(std::declval<Alg&>().ApplyBatch(
              NodeId{}, std::declval<Span<const NodeId>>(),
              std::declval<Span<const int64_t>>()))>> : std::true_type {};
-
-/// Detects the delta-merge pair of the contract above —
-///   size_t AccumulateDelta(NodeId, Span<const NodeId>, Span<const int64_t>,
-///                          std::vector<OneSparseCell>*) const
-///   void MergeDelta(NodeId, const OneSparseCell*, size_t)
-/// — so the delta-mode driver and the registry adapters can fall back to a
-/// locked ApplyBatch when a family has no delta support.
-template <typename Alg, typename = void>
-struct AlgHasDeltaMerge : std::false_type {};
-template <typename Alg>
-struct AlgHasDeltaMerge<
-    Alg,
-    std::void_t<decltype(std::declval<const Alg&>().AccumulateDelta(
-                    NodeId{}, std::declval<Span<const NodeId>>(),
-                    std::declval<Span<const int64_t>>(),
-                    std::declval<std::vector<OneSparseCell>*>())),
-                decltype(std::declval<Alg&>().MergeDelta(
-                    NodeId{}, std::declval<const OneSparseCell*>(),
-                    size_t{}))>> : std::true_type {};
 
 /// Construction knobs the registry factories understand. Defaults match
 /// the historical CLI construction of each family, so registered runs are
@@ -255,7 +195,7 @@ struct AlgInfo {
   const char* name;     ///< CLI command / checkpoint-alg name
   AlgTag tag;           ///< GSKC wire tag
   const char* summary;  ///< one-line answer description (usage text)
-  bool endpoint_sharded;  ///< safe for multi-worker sharded ingestion
+  bool endpoint_sharded;  ///< safe for multi-worker ingestion
   bool uses_k;            ///< factory consumes AlgOptions::k
 
   /// Builds a fresh sketch; equal (n, opt, seed) build identically

@@ -54,46 +54,6 @@ void SpanningForestSketch::ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
   }
 }
 
-size_t SpanningForestSketch::DeltaCellsPerNode() const {
-  size_t total = 0;
-  for (const auto& bank : banks_) total += bank.DeltaCells();
-  return total;
-}
-
-void SpanningForestSketch::AccumulateDeltaIds(const uint64_t* ids,
-                                              const int64_t* signed_deltas,
-                                              size_t count,
-                                              OneSparseCell* scratch) const {
-  for (const auto& bank : banks_) {
-    bank.AccumulateBatchIds(ids, signed_deltas, count, scratch);
-    scratch += bank.DeltaCells();
-  }
-}
-
-size_t SpanningForestSketch::AccumulateDelta(
-    NodeId endpoint, Span<const NodeId> others, Span<const int64_t> deltas,
-    std::vector<OneSparseCell>* scratch) const {
-  std::vector<uint64_t> ids;
-  std::vector<int64_t> signed_deltas;
-  BatchEdgeIds(endpoint, others, deltas, &ids, &signed_deltas);
-  const size_t cells = DeltaCellsPerNode();
-  scratch->assign(cells, OneSparseCell{});
-  AccumulateDeltaIds(ids.data(), signed_deltas.data(), ids.size(),
-                     scratch->data());
-  return cells;
-}
-
-void SpanningForestSketch::MergeDelta(NodeId endpoint,
-                                      const OneSparseCell* scratch,
-                                      size_t cells) {
-  assert(cells == DeltaCellsPerNode());
-  (void)cells;
-  for (auto& bank : banks_) {
-    bank.MergeDeltaAt(endpoint, scratch);
-    scratch += bank.DeltaCells();
-  }
-}
-
 void SpanningForestSketch::Merge(const SpanningForestSketch& other) {
   assert(banks_.size() == other.banks_.size());
   for (size_t i = 0; i < banks_.size(); ++i) banks_[i].Merge(other.banks_[i]);

@@ -52,30 +52,6 @@ class SpanningForestSketch {
   void ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
                      const int64_t* signed_deltas, size_t count);
 
-  /// Cells in one node's delta-merge scratch: every round bank's per-node
-  /// slice back to back (delta-mode driver, src/driver/sketch_driver.h).
-  size_t DeltaCellsPerNode() const;
-
-  /// Accumulates a precomputed-id batch into `scratch` (caller-zeroed,
-  /// DeltaCellsPerNode() cells), touching no sketch state. Composite
-  /// sketches carve their scratch into per-forest segments and share the
-  /// hashed ids across them.
-  void AccumulateDeltaIds(const uint64_t* ids, const int64_t* signed_deltas,
-                          size_t count, OneSparseCell* scratch) const;
-
-  /// Delta-merge contract (see LinearSketch::AccumulateDelta): builds the
-  /// whole batch into `*scratch` (resized and zeroed here) and returns the
-  /// cells used. Shared state untouched.
-  size_t AccumulateDelta(NodeId endpoint, Span<const NodeId> others,
-                         Span<const int64_t> deltas,
-                         std::vector<OneSparseCell>* scratch) const;
-
-  /// Adds an accumulated delta into `endpoint`'s live slices; `cells` is
-  /// AccumulateDelta's return value and the caller holds the per-node
-  /// lock. Merge-after-accumulate is bit-identical to ApplyBatch.
-  void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                  size_t cells);
-
   /// Adds another sketch with identical parameterization.
   void Merge(const SpanningForestSketch& other);
 

@@ -33,11 +33,11 @@
 //
 //   IngestPipeline::Shard::mu      queue push/pop; NEVER held while a
 //                                  batch is applied to a sketch
-//   IngestPipeline::stripes_[i]    delta-merge per-(session,endpoint)
-//                                  stripe; held across sink apply calls
+//   IngestPipeline::stripes_[i]    apply stripe, per (session, endpoint);
+//                                  held across sink apply calls
 //   CowCellArena own-stripe        first-touch page clone; acquired UNDER
-//                                  a delta stripe when a delta-mode apply
-//                                  first touches a COW page
+//                                  an apply stripe when an ingestion
+//                                  apply first touches a COW page
 //   IngestPipeline::drained_mu_    drain barrier wakeup; leaf — taken with
 //                                  no other lock held, by design (workers
 //                                  only touch it after releasing
@@ -48,7 +48,7 @@
 //   InsertionTracker::mu_          sampler wakeup; leaf
 //
 // The only nesting pair is therefore
-//     delta stripe  →  COW own-stripe
+//     apply stripe  →  COW own-stripe
 // and both sides are dynamically striped (array-indexed) locks, which
 // GSKETCH_ACQUIRED_BEFORE/_AFTER cannot name — the attributes take a
 // specific capability declaration, not an element of an array chosen at

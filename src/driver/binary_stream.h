@@ -39,6 +39,10 @@ inline constexpr uint32_t kBinaryStreamVersion = 1;
 inline constexpr size_t kBinaryStreamHeaderBytes = 20;
 inline constexpr size_t kBinaryStreamRecordBytes = 12;
 
+/// Records per ReadBatch call for consumers that stream a whole file
+/// (SketchDriver::ProcessFile, the CLI's ingest loops).
+inline constexpr size_t kStreamReadChunk = 4096;
+
 /// Most i32 wire records one Append will split a wide delta into, i.e. a
 /// per-record delta magnitude cap of ~2.2e12 (1024 · (2³¹−1)). Far past
 /// any real multigraph multiplicity; without the cap a single absurd

@@ -6,14 +6,8 @@ namespace gsketch {
 
 GutterSystem::GutterSystem(const GutterOptions& opt, Sink sink)
     : capacity_(opt.bytes_per_gutter / kGutterEntryBytes),
-      max_total_entries_(opt.max_total_bytes / kGutterEntryBytes),
-      coalesce_(opt.coalesce),
       sink_(std::move(sink)) {
   if (capacity_ < 1) capacity_ = 1;
-  // A cap below two full gutters would thrash flushes; clamp it up.
-  if (max_total_entries_ != 0 && max_total_entries_ < 2 * capacity_) {
-    max_total_entries_ = 2 * capacity_;
-  }
 }
 
 void GutterSystem::BufferHalf(NodeId endpoint, NodeId other, int64_t delta) {
@@ -21,7 +15,7 @@ void GutterSystem::BufferHalf(NodeId endpoint, NodeId other, int64_t delta) {
   Gutter& g = gutters_[endpoint];
   ++buffered_halves_;
   ++g.halves;
-  if (coalesce_ && !g.others.empty() && g.others.back() == other) {
+  if (!g.others.empty() && g.others.back() == other) {
     // Same edge as the newest entry: fold by delta addition (exact, by
     // linearity — a zero sum still applies as a no-op cell update).
     g.deltas.back() += delta;
@@ -31,19 +25,7 @@ void GutterSystem::BufferHalf(NodeId endpoint, NodeId other, int64_t delta) {
   g.others.push_back(other);
   g.deltas.push_back(delta);
   ++total_entries_;
-  if (g.others.size() >= capacity_) {
-    Flush(endpoint);
-    return;
-  }
-  if (max_total_entries_ != 0 && total_entries_ > max_total_entries_) {
-    // Over the global cap: sweep round-robin, flushing gutters until half
-    // the cap is free again (amortizes the sweep across many pushes).
-    while (total_entries_ > max_total_entries_ / 2) {
-      if (sweep_ >= gutters_.size()) sweep_ = 0;
-      if (!gutters_[sweep_].others.empty()) Flush(sweep_);
-      ++sweep_;
-    }
-  }
+  if (g.others.size() >= capacity_) Flush(endpoint);
 }
 
 void GutterSystem::Flush(NodeId endpoint) {

@@ -15,15 +15,14 @@
 //     updates); a full gutter flushes itself (leaf flush);
 //   * duplicate coalescing — a half-update for the same (endpoint, other)
 //     as the gutter's newest entry folds into it by delta addition
-//     (linearity makes this exact, even when the sum cancels to 0);
-//   * global cap — `max_total_bytes` bounds memory across all gutters
-//     (hot-spot skew cannot hoard); exceeding it sweeps gutters
-//     round-robin, flushing until half the cap is free.
+//     (every sketch is linear in delta, so this is exact, even when the
+//     sum cancels to 0).
 //
 // The GutterSystem is single-producer (the stream reader thread) and
 // synchronous: flushes invoke the sink inline, and the sink (the
-// SketchDriver) does its own cross-thread handoff. Every buffered
-// half-update is delivered exactly once; FlushAll() drains the rest.
+// IngestPipeline's shared queue) does its own cross-thread handoff.
+// Every buffered half-update is delivered exactly once; FlushAll()
+// drains the rest.
 #ifndef GRAPHSKETCH_SRC_DRIVER_GUTTER_H_
 #define GRAPHSKETCH_SRC_DRIVER_GUTTER_H_
 
@@ -51,18 +50,15 @@ struct NodeBatch {
   uint64_t halves = 0;
 };
 
+/// Default bytes per node gutter (≈ 341 entries): big enough that flush
+/// overhead vanishes behind the ApplyBatch loop (E14).
+inline constexpr size_t kDefaultGutterBytes = 4096;
+
 /// Tuning knobs for GutterSystem.
 struct GutterOptions {
   /// Buffered bytes per node gutter before it flushes itself; one entry
   /// (other, delta) costs 12 bytes. Values below one entry clamp to one.
-  size_t bytes_per_gutter = 4096;
-  /// Global cap on buffered bytes across all gutters; 0 = uncapped.
-  size_t max_total_bytes = 0;
-  /// Fold same-edge entries by delta addition. Must be off for sketches
-  /// whose update routing depends on the delta's magnitude (they are not
-  /// linear in delta, so two +1 tokens and one +2 token land in
-  /// different cells); see LinearSketch::CoalesceSafe.
-  bool coalesce = true;
+  size_t bytes_per_gutter = kDefaultGutterBytes;
 };
 
 /// Per-node update buffers (see file comment). Not thread-safe; owned and
@@ -79,8 +75,8 @@ class GutterSystem {
     BufferHalf(v, u, delta);
   }
 
-  /// Buffers one half-update into `endpoint`'s gutter, flushing it (and,
-  /// under the global cap, others) as needed.
+  /// Buffers one half-update into `endpoint`'s gutter, flushing it when
+  /// full.
   void BufferHalf(NodeId endpoint, NodeId other, int64_t delta);
 
   /// Flushes every non-empty gutter to the sink (drain / shutdown).
@@ -112,13 +108,10 @@ class GutterSystem {
   void Flush(NodeId endpoint);
 
   size_t capacity_;            // entries per gutter
-  size_t max_total_entries_;   // 0 = uncapped
-  bool coalesce_;              // fold same-edge entries (GutterOptions)
   size_t total_entries_ = 0;   // entries buffered across all gutters
   uint64_t buffered_halves_ = 0;
   uint64_t flushes_ = 0;
   uint64_t coalesced_halves_ = 0;
-  NodeId sweep_ = 0;  // round-robin cursor for global-cap eviction
   std::vector<Gutter> gutters_;  // grown on demand to the touched node id
   Sink sink_;
 };

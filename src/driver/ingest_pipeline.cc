@@ -1,6 +1,5 @@
 #include "src/driver/ingest_pipeline.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace gsketch {
@@ -11,25 +10,11 @@ uint32_t ResolveWorkerCount(uint32_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-IngestPipeline::IngestPipeline(const PipelineOptions& opt)
-    : batch_size_(opt.batch_size < 1 ? 1 : opt.batch_size),
-      max_pending_(opt.max_pending_batches < 1 ? 1
-                                               : opt.max_pending_batches),
-      delta_mode_(opt.delta_mode),
-      delta_min_batch_(opt.delta_min_batch) {
+IngestPipeline::IngestPipeline(const PipelineOptions& opt) {
   const uint32_t workers = ResolveWorkerCount(opt.num_workers);
-  // Delta mode: one shared MPMC queue every worker steals from, with the
-  // aggregate capacity the per-worker queues would have had. Sharded
-  // mode: one queue per worker, routed by endpoint.
-  const uint32_t num_queues = delta_mode_ ? 1 : workers;
-  queue_capacity_ = delta_mode_ ? max_pending_ * workers : max_pending_;
-  shards_.reserve(num_queues);
-  for (uint32_t q = 0; q < num_queues; ++q) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  if (delta_mode_) {
-    stripes_ = std::make_unique<Mutex[]>(kLockStripes);
-  }
+  const size_t per_worker =
+      opt.max_pending_batches < 1 ? 1 : opt.max_pending_batches;
+  queue_capacity_ = per_worker * workers;
   worker_applied_ = std::make_unique<std::atomic<uint64_t>[]>(workers);
   for (uint32_t w = 0; w < workers; ++w) {
     // relaxed: workers have not started yet, the thread construction
@@ -43,37 +28,29 @@ IngestPipeline::IngestPipeline(const PipelineOptions& opt)
 
 IngestPipeline::~IngestPipeline() {
   DrainAll();
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->stopping = true;
-    shard->not_empty.NotifyAll();
+  {
+    MutexLock lock(shard_.mu);
+    shard_.stopping = true;
+    shard_.not_empty.NotifyAll();
   }
   for (auto& t : threads_) t.join();
 }
 
 IngestPipeline::SessionId IngestPipeline::Attach(
     IngestSink* sink, const ChannelOptions& copt) {
-  auto ch = std::make_shared<Channel>();
-  ch->id = static_cast<SessionId>(channels_.size());
-  ch->sink = sink;
-  ch->pending.resize(shards_.size());
+  const auto sid = static_cast<SessionId>(channels_.size());
+  GutterSystem gutter(GutterOptions{copt.gutter_bytes},
+                      [this, sid](NodeBatch&& batch) {
+                        Enqueue(sid, std::move(batch));
+                      });
+  auto ch = std::make_shared<Channel>(sid, sink, std::move(gutter));
   ch->stream_updates = copt.initial_stream_pos;
   if (copt.eager_nodes > 0) {
     ch->eager = std::make_unique<EagerForest>(copt.eager_nodes);
   }
-  if (copt.gutter_bytes > 0) {
-    GutterOptions gopt;
-    gopt.bytes_per_gutter = copt.gutter_bytes;
-    gopt.max_total_bytes = copt.gutter_total_bytes;
-    gopt.coalesce = copt.coalesce;
-    Channel* raw = ch.get();
-    ch->gutter.emplace(gopt, [this, raw](NodeBatch&& batch) {
-      DispatchNode(raw, std::move(batch));
-    });
-  }
   channels_.push_back(std::move(ch));
   ++live_channels_;
-  return channels_.back()->id;
+  return sid;
 }
 
 void IngestPipeline::Detach(SessionId sid) {
@@ -93,12 +70,7 @@ void IngestPipeline::Push(SessionId sid, NodeId u, NodeId v,
   Channel* ch = Get(sid);
   ++ch->stream_updates;
   if (ch->eager != nullptr) ch->eager->Apply(u, v, delta);
-  if (ch->gutter.has_value()) {
-    ch->gutter->Push(u, v, delta);
-    return;
-  }
-  EnqueueHalf(ch, u, v, delta);
-  EnqueueHalf(ch, v, u, delta);
+  ch->gutter.Push(u, v, delta);
 }
 
 void IngestPipeline::Drain(SessionId sid) {
@@ -113,10 +85,7 @@ void IngestPipeline::DrainAll() {
 }
 
 void IngestPipeline::DrainChannel(Channel* ch) {
-  if (ch->gutter.has_value()) ch->gutter->FlushAll();
-  for (uint32_t q = 0; q < ch->pending.size(); ++q) {
-    if (!ch->pending[q].empty()) Dispatch(ch, q);
-  }
+  ch->gutter.FlushAll();
   // `enqueued_halves` is written only by this (producer) thread, so the
   // predicate's load always sees the final enqueue total; the atomic
   // exists for the workers' cross-thread peek in WorkerLoop.
@@ -153,13 +122,14 @@ uint64_t IngestPipeline::StreamUpdates(SessionId sid) const {
 
 size_t IngestPipeline::GutterBufferedBytes(SessionId sid) const {
   const Channel* ch = Get(sid);
-  if (ch == nullptr || !ch->gutter.has_value()) return 0;
-  return ch->gutter->buffered_entries() * kGutterEntryBytes;
+  return ch == nullptr
+             ? 0
+             : ch->gutter.buffered_entries() * kGutterEntryBytes;
 }
 
 const GutterSystem* IngestPipeline::gutters(SessionId sid) const {
   const Channel* ch = Get(sid);
-  return ch != nullptr && ch->gutter.has_value() ? &*ch->gutter : nullptr;
+  return ch != nullptr ? &ch->gutter : nullptr;
 }
 
 const EagerForest* IngestPipeline::eager_forest(SessionId sid) const {
@@ -174,122 +144,43 @@ std::shared_ptr<const EagerCut> IngestPipeline::CaptureEagerCut(
                                                : nullptr;
 }
 
-void IngestPipeline::EnqueueHalf(Channel* ch, NodeId endpoint,
-                                 NodeId other, int64_t delta) {
-  uint32_t q = delta_mode_ ? 0 : endpoint % num_workers();
-  Batch& pending = ch->pending[q];
-  pending.push_back(HalfUpdate{endpoint, other, delta});
-  if (pending.size() >= batch_size_) Dispatch(ch, q);
-}
-
-void IngestPipeline::Dispatch(Channel* ch, uint32_t q) {
-  Batch batch;
-  batch.swap(ch->pending[q]);
-  if (delta_mode_) {
-    DispatchDeltaBatch(ch, std::move(batch));
-    return;
-  }
+// The gutter sink: hands one flush to the shared queue, blocking while
+// the queue is full (backpressure on the producer).
+void IngestPipeline::Enqueue(SessionId sid, NodeBatch&& batch) {
+  WorkItem item{channels_[sid], std::move(batch)};
   // relaxed: producer-only writer (single-producer contract); workers
   // re-read it seq_cst in the drain pairing, producers see it plain.
-  ch->enqueued_halves.fetch_add(batch.size(), std::memory_order_relaxed);
-  Enqueue(q, WorkItem{channels_[ch->id], std::move(batch)});
-}
-
-// Delta mode, gutters off: group the mixed-endpoint batch into dense
-// per-node batches for the shared queue, the same NodeBatch currency the
-// gutter sink emits. stable_sort keeps per-endpoint stream order (not
-// needed for correctness — linearity — but it keeps runs deterministic).
-void IngestPipeline::DispatchDeltaBatch(Channel* ch, Batch&& batch) {
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const HalfUpdate& a, const HalfUpdate& b) {
-                     return a.endpoint < b.endpoint;
-                   });
-  size_t i = 0;
-  while (i < batch.size()) {
-    NodeBatch node;
-    node.endpoint = batch[i].endpoint;
-    size_t j = i;
-    while (j < batch.size() && batch[j].endpoint == node.endpoint) ++j;
-    node.others.reserve(j - i);
-    node.deltas.reserve(j - i);
-    for (size_t k = i; k < j; ++k) {
-      node.others.push_back(batch[k].other);
-      node.deltas.push_back(batch[k].delta);
-    }
-    node.halves = j - i;
-    DispatchNode(ch, std::move(node));
-    i = j;
+  item.ch->enqueued_halves.fetch_add(item.batch.halves,
+                                     std::memory_order_relaxed);
+  MutexLock lock(shard_.mu);
+  while (shard_.queue.size() >= queue_capacity_) {
+    shard_.not_full.Wait(shard_.mu);
   }
-}
-
-void IngestPipeline::DispatchNode(Channel* ch, NodeBatch&& batch) {
-  uint32_t q = delta_mode_ ? 0 : batch.endpoint % num_workers();
-  // relaxed: producer-only writer, same contract as Dispatch above.
-  ch->enqueued_halves.fetch_add(batch.halves, std::memory_order_relaxed);
-  Enqueue(q, WorkItem{channels_[ch->id], std::move(batch)});
-}
-
-void IngestPipeline::Enqueue(uint32_t q, WorkItem&& item) {
-  Shard& shard = *shards_[q];
-  MutexLock lock(shard.mu);
-  while (shard.queue.size() >= queue_capacity_) {  // backpressure
-    shard.not_full.Wait(shard.mu);
-  }
-  shard.queue.push_back(std::move(item));
-  shard.not_empty.NotifyOne();
-}
-
-// Delta-mode apply: accumulate the batch into this worker's scratch arena
-// lock-free, then add it into the (session, endpoint) live cells under
-// the pair's lock stripe. Batches too small to amortize the merge — and
-// sinks without delta support (AccumulateDelta returns 0) — apply in
-// place under the same stripe. Both paths are byte-identical (cell sums
-// commute).
-void IngestPipeline::ApplyDeltaItem(Channel* ch, const NodeBatch& node,
-                                    std::vector<OneSparseCell>* scratch) {
-  size_t cells = 0;
-  if (node.others.size() >= delta_min_batch_) {
-    cells = ch->sink->AccumulateDelta(node, scratch);
-  }
-  // Held across the sink call: the sketch's COW arena may take its
-  // own-stripe under this stripe (the sanctioned nesting, sync.h).
-  MutexLock lock(Stripe(*ch, node.endpoint));
-  if (cells > 0) {
-    ch->sink->MergeDelta(node.endpoint, scratch->data(), cells);
-    return;
-  }
-  ch->sink->ApplyNode(node);
+  shard_.queue.push_back(std::move(item));
+  shard_.not_empty.NotifyOne();
 }
 
 void IngestPipeline::WorkerLoop(uint32_t w) {
-  Shard& shard = *shards_[delta_mode_ ? 0 : w];
-  std::vector<OneSparseCell> scratch;  // this worker's delta arena
   for (;;) {
     WorkItem item;
     {
-      MutexLock lock(shard.mu);
-      while (!shard.stopping && shard.queue.empty()) {
-        shard.not_empty.Wait(shard.mu);
+      MutexLock lock(shard_.mu);
+      while (!shard_.stopping && shard_.queue.empty()) {
+        shard_.not_empty.Wait(shard_.mu);
       }
-      if (shard.queue.empty()) return;  // stopping and fully drained
-      item = std::move(shard.queue.front());
-      shard.queue.pop_front();
-      shard.not_full.NotifyOne();
+      if (shard_.queue.empty()) return;  // stopping and fully drained
+      item = std::move(shard_.queue.front());
+      shard_.queue.pop_front();
+      shard_.not_full.NotifyOne();
     }
     Channel& ch = *item.ch;
-    uint64_t applied = 0;
-    if (const Batch* batch = std::get_if<Batch>(&item.work)) {
-      ch.sink->ApplyHalves(batch->data(), batch->size());
-      applied = batch->size();
-    } else {
-      const NodeBatch& node = std::get<NodeBatch>(item.work);
-      if (delta_mode_) {
-        ApplyDeltaItem(&ch, node, &scratch);
-      } else {
-        ch.sink->ApplyNode(node);
-      }
-      applied = node.halves;
+    {
+      // Held across the sink call: the sketch's COW arena may take its
+      // own-stripe under this stripe (the sanctioned nesting, sync.h).
+      MutexLock lock(Stripe(ch, item.batch.endpoint));
+      ch.sink->ApplyNode(item.batch);
     }
+    const uint64_t applied = item.batch.halves;
     // relaxed: single-writer stats counter (this worker), staleness-
     // tolerant readers.
     worker_applied_[w].fetch_add(applied, std::memory_order_relaxed);

@@ -1,36 +1,39 @@
 // The shared, type-erased ingestion pipeline: ONE worker pool and queue
-// fabric serving ANY number of co-hosted sketches ("sessions").
+// serving ANY number of co-hosted sketches ("sessions").
 //
-// SketchDriver<Alg> historically owned its worker threads, so every hosted
-// sketch cost a private thread pool and the process was structurally
-// single-tenant. AGM linear sketches make co-hosting cheap — all tenants
-// share the same cell/kernel machinery, per-tenant state is just arenas —
-// so the reusable machinery (worker pool, bounded sharded/MPMC queues,
-// drain barrier, delta-merge stripes) lives here, type-erased behind
-// IngestSink, and each tenant attaches a CHANNEL carrying only its private
-// producer-side state (gutters, eager forest, pending batches, counters).
-// SketchDriver<Alg> survives as a thin single-session facade over one
-// pipeline; SessionManager (src/session/) runs N named sessions over one.
+// AGM linear sketches make co-hosting cheap — all tenants share the same
+// cell/kernel machinery, per-tenant state is just arenas — so the reusable
+// machinery (worker pool, bounded shared queue, drain barrier, apply
+// stripes) lives here, type-erased behind IngestSink, and each tenant
+// attaches a CHANNEL carrying only its private producer-side state
+// (gutters, eager forest, counters). SketchDriver<Alg> is a thin
+// single-session facade over one pipeline; SessionManager (src/session/)
+// runs N named sessions over one.
 //
-// Every work item is tagged with the channel it belongs to, so workers
-// dispatch per batch on the session id (one virtual call per batch, not
-// per update). Isolation invariant: distinct sessions apply to DISJOINT
-// sketch objects, so co-hosted ingestion through a shared pool leaves
-// every tenant's sketch byte-identical to that tenant running solo in any
-// mode — sharded, gutter-buffered, or delta-merge (linearity makes order
-// irrelevant; tests/session_test.cc proves it per family and per mode).
+// There is exactly one ingestion path. Each channel's per-node gutters
+// (src/driver/gutter.h) flush dense NodeBatches into one bounded queue
+// shared by every worker; any worker pops any batch and applies it in
+// place through IngestSink::ApplyNode while holding the batch's
+// per-(session, endpoint) apply stripe. Linearity makes the apply order
+// irrelevant, so ingestion needs mutual exclusion per node, not ownership
+// of nodes: a hot node's batches go to whichever worker is free. Every
+// work item is tagged with its channel, so workers dispatch per batch on
+// the session (one virtual call per batch, not per update). Isolation
+// invariant: distinct sessions apply to DISJOINT sketch objects, so
+// co-hosted ingestion leaves every tenant's sketch byte-identical to that
+// tenant running solo (tests/session_test.cc proves it per family).
 //
-// Threading contract (unchanged from SketchDriver): ALL producer-side
-// calls — Push, Drain, Attach, Detach, CaptureEagerCut — come from one
-// thread (or are externally serialized). Workers are internal. Per-session
-// drain only waits for THAT session's queued work; other sessions keep
-// flowing through the same workers during the barrier.
+// Threading contract: ALL producer-side calls — Push, Drain, Attach,
+// Detach, CaptureEagerCut — come from one thread (or are externally
+// serialized). Workers are internal. Per-session drain only waits for
+// THAT session's queued work; other sessions keep flowing through the
+// same workers during the barrier.
 //
 // The locking invariants below are machine-checked: every mutex is a
 // capability-annotated gsketch::Mutex (src/core/sync.h), guarded fields
 // carry GSKETCH_GUARDED_BY, and clang -Wthread-safety rejects any access
 // that cannot prove it holds the lock. Lock order (see sync.h):
-// Shard::mu is never held while a batch is applied; a delta stripe may
+// Shard::mu is never held while a batch is applied; an apply stripe may
 // nest a CowCellArena own-stripe under it (the only nesting pair in the
 // codebase); drained_mu_ is a leaf taken with nothing else held.
 #ifndef GRAPHSKETCH_SRC_DRIVER_INGEST_PIPELINE_H_
@@ -40,9 +43,8 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <thread>
-#include <variant>
+#include <utility>
 #include <vector>
 
 #include "src/core/sync.h"
@@ -50,7 +52,6 @@
 #include "src/driver/eager_forest.h"
 #include "src/driver/gutter.h"
 #include "src/graph/stream.h"
-#include "src/sketch/one_sparse.h"
 
 namespace gsketch {
 
@@ -60,62 +61,33 @@ namespace gsketch {
 /// report 0; any explicit count is taken as-is.
 uint32_t ResolveWorkerCount(uint32_t requested);
 
-/// One endpoint half of a stream token: apply to `endpoint`'s state the
-/// update for edge {endpoint, other}.
-struct HalfUpdate {
-  NodeId endpoint;
-  NodeId other;
-  int64_t delta;
-};
-
 /// The type-erased per-session apply surface. One sink wraps one sketch
 /// (see AlgIngestSink in src/driver/sketch_driver.h for the generic
 /// adapter); workers call it at batch granularity, so the virtual hop is
-/// amortized over thousands of updates. Implementations own no pipeline
-/// state and must tolerate concurrent calls only to the extent the
-/// wrapped sketch does (endpoint-sharded routing and the delta stripes
-/// provide the required serialization, exactly as for SketchDriver).
+/// amortized over a whole gutter flush. The pipeline serializes calls per
+/// (session, endpoint) with its apply stripes, so an implementation need
+/// only tolerate concurrent calls for DISTINCT endpoints.
 class IngestSink {
  public:
   virtual ~IngestSink() = default;
 
-  /// Applies a mixed-endpoint batch of half-updates (sharded mode).
-  virtual void ApplyHalves(const HalfUpdate* halves, size_t count) = 0;
-
-  /// Applies one dense per-node batch (gutter flushes, delta fallback).
+  /// Applies one dense per-node batch (a gutter flush) in place.
   virtual void ApplyNode(const NodeBatch& batch) = 0;
-
-  /// Delta-merge pair (see LinearSketch::AccumulateDelta): builds the
-  /// batch into `*scratch` without touching shared state, returning the
-  /// cells used — 0 means "no delta support, apply me via ApplyNode under
-  /// the lock instead".
-  virtual size_t AccumulateDelta(const NodeBatch& batch,
-                                 std::vector<OneSparseCell>* scratch)
-      const = 0;
-
-  /// Adds the first `cells` scratch cells into `endpoint`'s live state;
-  /// the pipeline serializes per-(session, endpoint) calls.
-  virtual void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                          size_t cells) = 0;
 };
 
-/// Tuning knobs for the shared pipeline (the worker-pool half of the old
-/// DriverOptions; per-session knobs moved to ChannelOptions).
+/// Tuning knobs for the shared pipeline (the worker-pool half of
+/// DriverOptions; per-session knobs live in ChannelOptions).
 struct PipelineOptions {
   uint32_t num_workers = 1;  ///< worker threads; 0 = hardware concurrency
-  size_t batch_size = 4096;  ///< endpoint updates per dispatched batch
-  size_t max_pending_batches = 8;  ///< per-queue bound (backpressure)
-  bool delta_mode = false;  ///< work-stealing delta-merge ingestion
-  /// Delta mode: node batches with fewer entries than this skip the delta
-  /// arena and apply in place under the striped lock.
-  size_t delta_min_batch = 32;
+  /// Queue bound per worker: the shared queue holds at most
+  /// max_pending_batches × workers batches (backpressure).
+  size_t max_pending_batches = 8;
 };
 
 /// Per-session knobs: the private producer-side state a channel carries.
 struct ChannelOptions {
-  size_t gutter_bytes = 0;        ///< per-node gutter bytes; 0 = off
-  size_t gutter_total_bytes = 0;  ///< global gutter cap; 0 = uncapped
-  bool coalesce = true;           ///< fold same-edge gutter entries
+  /// Per-node gutter bytes; values below one 12-byte entry clamp to one.
+  size_t gutter_bytes = kDefaultGutterBytes;
   /// Nonzero enables the eager exact-connectivity forest over this many
   /// nodes (src/driver/eager_forest.h), maintained inline at Push.
   NodeId eager_nodes = 0;
@@ -149,13 +121,14 @@ class IngestPipeline {
   /// reused. Producer-side.
   void Detach(SessionId sid) GSKETCH_EXCLUDES(drained_mu_);
 
-  /// Routes one stream token of session `sid` to its two endpoint shards
-  /// (through the session's gutters when enabled). Producer-side.
+  /// Buffers both endpoint halves of one stream token of session `sid` in
+  /// the session's gutters (a full gutter flushes to the shared queue).
+  /// Producer-side.
   void Push(SessionId sid, NodeId u, NodeId v, int64_t delta);
 
-  /// Flushes the session's gutters and partial batches and blocks until
-  /// every queued update OF THIS SESSION has been applied; its sketch
-  /// then reflects the whole stream pushed so far and may be read safely.
+  /// Flushes the session's gutters and blocks until every queued update
+  /// OF THIS SESSION has been applied; its sketch then reflects the whole
+  /// stream pushed so far and may be read safely.
   /// Other sessions' items keep flowing through the workers meanwhile.
   /// Producer-side.
   void Drain(SessionId sid) GSKETCH_EXCLUDES(drained_mu_);
@@ -176,7 +149,7 @@ class IngestPipeline {
   /// accounting). Producer-side.
   size_t GutterBufferedBytes(SessionId sid) const;
 
-  /// The session's gutter layer, when enabled (nullptr otherwise).
+  /// The session's gutter layer (nullptr for an unknown session).
   const GutterSystem* gutters(SessionId sid) const;
 
   /// The session's eager forest, when enabled (nullptr otherwise).
@@ -192,9 +165,6 @@ class IngestPipeline {
     return static_cast<uint32_t>(threads_.size());
   }
 
-  /// True when the pipeline runs the work-stealing delta-merge mode.
-  bool delta_mode() const { return delta_mode_; }
-
   /// Half-updates applied by worker `w` so far, across all sessions.
   uint64_t WorkerAppliedHalves(uint32_t w) const {
     // relaxed: monotone stats counter, readers tolerate staleness.
@@ -205,16 +175,16 @@ class IngestPipeline {
   size_t num_sessions() const { return live_channels_; }
 
  private:
-  using Batch = std::vector<HalfUpdate>;
-
   // All private per-session state. Work items hold a shared_ptr to their
   // channel so a worker's post-apply counter peek stays valid even if the
   // producer Detaches the (already drained) channel first.
   struct Channel {
-    SessionId id = 0;
-    IngestSink* sink = nullptr;
-    std::vector<Batch> pending;  // producer-side building batches/queue
-    std::optional<GutterSystem> gutter;  // producer-side (gutter mode)
+    Channel(SessionId sid, IngestSink* s, GutterSystem g)
+        : id(sid), sink(s), gutter(std::move(g)) {}
+
+    const SessionId id;
+    IngestSink* const sink;
+    GutterSystem gutter;  // producer-side
     std::unique_ptr<EagerForest> eager;  // producer-side (eager mode)
     uint64_t stream_updates = 0;  // producer-side token count
     // Producer-writes-only (documented single-producer contract); atomic
@@ -223,12 +193,10 @@ class IngestPipeline {
     std::atomic<uint64_t> applied_halves{0};
   };
 
-  // Workers consume either mixed-endpoint half-update batches (gutters
-  // off, sharded mode) or dense per-node batches (gutter flushes and
-  // delta mode), each tagged with its channel.
+  // One gutter flush, tagged with its channel.
   struct WorkItem {
     std::shared_ptr<Channel> ch;
-    std::variant<Batch, NodeBatch> work;
+    NodeBatch batch;
   };
 
   struct Shard {
@@ -240,20 +208,13 @@ class IngestPipeline {
   };
 
   Channel* Get(SessionId sid) const;
-  void EnqueueHalf(Channel* ch, NodeId endpoint, NodeId other,
-                   int64_t delta);
-  void Dispatch(Channel* ch, uint32_t q);
-  void DispatchDeltaBatch(Channel* ch, Batch&& batch);
-  void DispatchNode(Channel* ch, NodeBatch&& batch);
-  void Enqueue(uint32_t q, WorkItem&& item);
+  void Enqueue(SessionId sid, NodeBatch&& batch);
   void DrainChannel(Channel* ch) GSKETCH_EXCLUDES(drained_mu_);
-  void ApplyDeltaItem(Channel* ch, const NodeBatch& node,
-                      std::vector<OneSparseCell>* scratch);
   void WorkerLoop(uint32_t w);
 
-  // Stripe count for the delta-mode per-(session, endpoint) merge locks:
-  // comfortably above any sane worker count so two hot nodes rarely share
-  // a stripe, small enough that the mutex array stays cache-resident.
+  // Stripe count for the per-(session, endpoint) apply locks: comfortably
+  // above any sane worker count so two hot nodes rarely share a stripe,
+  // small enough that the mutex array stays cache-resident.
   static constexpr size_t kLockStripes = 64;
 
   Mutex& Stripe(const Channel& ch, NodeId endpoint) {
@@ -263,18 +224,14 @@ class IngestPipeline {
     return stripes_[(endpoint + ch.id * 0x9e3779b9u) % kLockStripes];
   }
 
-  const size_t batch_size_;
-  const size_t max_pending_;
-  const bool delta_mode_;
-  const size_t delta_min_batch_;
-  size_t queue_capacity_ = 0;  // per-queue bound (aggregate in delta mode)
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Delta mode only. A stripe is held across the sink apply call, so the
-  // wrapped sketch's COW own-stripe may be acquired UNDER it (the one
-  // sanctioned nesting pair; see src/core/sync.h). Dynamically striped,
-  // hence documented rather than GSKETCH_ACQUIRED_BEFORE-annotated — the
-  // attribute cannot name a runtime-chosen array element.
-  std::unique_ptr<Mutex[]> stripes_;
+  size_t queue_capacity_ = 0;  // max_pending_batches × workers
+  Shard shard_;  // the one queue every worker pops from
+  // A stripe is held across the sink apply call, so the wrapped sketch's
+  // COW own-stripe may be acquired UNDER it (the one sanctioned nesting
+  // pair; see src/core/sync.h). Dynamically striped, hence documented
+  // rather than GSKETCH_ACQUIRED_BEFORE-annotated — the attribute cannot
+  // name a runtime-chosen array element.
+  Mutex stripes_[kLockStripes];
   // Indexed by SessionId; detached slots stay null (ids are not reused).
   // Producer-side mutation only; workers never touch this vector (their
   // channel arrives inside the work item).

@@ -1,19 +1,18 @@
 // Batched multi-threaded stream ingestion, in the style of the
 // GraphSketchDriver of production streaming-connectivity systems.
 //
-// Every stream token (u, v, δ) is split into its two endpoint halves and
-// routed to the worker owning that endpoint (node % num_workers). Workers
-// therefore own DISJOINT node-indexed sketch state — per-node ℓ₀-samplers
-// are touched by exactly one thread — so they apply updates to one shared
-// Alg instance with no locks on the hot path. Linearity of the sketches
-// makes the result bit-identical to sequential ingestion in any update
-// order and with any worker count.
+// Every stream token (u, v, δ) is split into its two endpoint halves,
+// which buffer in per-node gutters (src/driver/gutter.h). A full gutter
+// flushes one dense per-node batch into a bounded queue shared by every
+// worker; any worker applies any node's batch in place, holding that
+// node's apply stripe for the call. Linearity of the sketches makes the
+// result bit-identical to sequential ingestion in any update order and
+// with any worker count.
 //
-// The machinery itself — worker pool, bounded sharded/MPMC queues, drain
-// barrier, delta-merge stripes — lives in the type-erased, multi-session
-// IngestPipeline (src/driver/ingest_pipeline.h). SketchDriver<Alg> is the
-// single-sketch FACADE over one private pipeline: it keeps the historical
-// API (and byte-for-byte behavior) for tests, benches, and single-graph
+// The machinery itself — worker pool, shared queue, drain barrier, apply
+// stripes — lives in the type-erased, multi-session IngestPipeline
+// (src/driver/ingest_pipeline.h). SketchDriver<Alg> is the single-sketch
+// FACADE over one private pipeline, for tests, benches, and single-graph
 // CLI runs, while SessionManager (src/session/) co-hosts many sketches on
 // one shared pipeline through the same channel mechanism.
 //
@@ -26,24 +25,12 @@
 // additionally implement
 //   void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
 //                   Span<const int64_t> deltas);
-// the dense same-endpoint fast path that gutter-buffered ingestion
-// flushes into (without it, batches fall back to UpdateEndpoint), and the
-//   AccumulateDelta / MergeDelta
-// pair for work-stealing delta-merge mode (src/core/sketch_registry.h).
-//
-// Ingestion modes (all byte-identical by linearity; see
-// src/driver/ingest_pipeline.h for the mechanics):
-//   * sharded (default)  — per-worker queues routed by endpoint;
-//   * gutter  (opt-in via DriverOptions::gutter_bytes) — per-node
-//     producer-side buffers flush dense NodeBatches to the owning worker;
-//   * delta   (opt-in via DriverOptions::delta_mode) — all workers steal
-//     NodeBatches from one shared queue, accumulate into thread-local
-//     delta arenas, and merge under striped per-node locks.
+// the dense same-endpoint fast path gutter flushes apply through (without
+// it, batches fall back to UpdateEndpoint).
 //
 // Flow control: the producer (the thread calling Push/ProcessStream)
-// accumulates per-worker batches and hands them to bounded queues;
-// `max_pending_batches` bounds memory and provides backpressure when
-// workers fall behind the reader.
+// fills the gutters; `max_pending_batches` per worker bounds the shared
+// queue, so a producer that outruns the workers blocks (backpressure).
 //
 // Concurrency contract: the driver itself owns no locks — every mutex it
 // relies on is a capability-annotated gsketch::Mutex inside the pipeline
@@ -81,17 +68,6 @@ struct AlgHasNumNodes<
     Alg, std::void_t<decltype(std::declval<const Alg&>().num_nodes())>>
     : std::true_type {};
 
-/// Detects `bool CoalesceSafe() const` on an Alg. Sketches that route by
-/// the delta's magnitude (not linear in delta) return false and gutters
-/// then buffer every token verbatim instead of folding duplicates; Algs
-/// without the method are treated as coalesce-safe.
-template <typename Alg, typename = void>
-struct AlgHasCoalesceSafe : std::false_type {};
-template <typename Alg>
-struct AlgHasCoalesceSafe<
-    Alg, std::void_t<decltype(std::declval<const Alg&>().CoalesceSafe())>>
-    : std::true_type {};
-
 /// Where a snapshot's latency went: `drain_ms` is the barrier — flushing
 /// gutters and waiting for workers to apply every queued half-update
 /// (relocated ingestion work, not overhead); `publish_ms` is the capture
@@ -105,16 +81,9 @@ struct SnapshotTiming {
 /// channel knobs, flattened for the single-sketch caller.
 struct DriverOptions {
   uint32_t num_workers = 1;  ///< worker threads; 0 = hardware concurrency
-  size_t batch_size = 4096;  ///< endpoint updates per dispatched batch
-  size_t max_pending_batches = 8;  ///< per-worker queue bound (backpressure)
-  size_t gutter_bytes = 0;  ///< per-node gutter bytes; 0 = gutters off
-  size_t gutter_total_bytes = 0;  ///< global gutter cap; 0 = uncapped
-  bool delta_mode = false;  ///< work-stealing delta-merge ingestion
-  /// Delta mode: node batches with fewer entries than this skip the delta
-  /// arena and apply in place under the striped lock (merging a full
-  /// per-node delta costs ~DeltaCellsPerNode cell adds, which dwarfs a
-  /// tiny batch's hashing work). Either path is byte-identical.
-  size_t delta_min_batch = 32;
+  size_t max_pending_batches = 8;  ///< queue bound per worker (backpressure)
+  /// Per-node gutter bytes; values below one 12-byte entry clamp to one.
+  size_t gutter_bytes = kDefaultGutterBytes;
   /// Maintain an exact union-find/spanning-forest inline at Push time
   /// (src/driver/eager_forest.h): while the stream stays insert-only,
   /// connectivity queries are answered exactly with zero drain/snapshot
@@ -132,42 +101,8 @@ class AlgIngestSink : public IngestSink {
  public:
   explicit AlgIngestSink(Alg* alg) : alg_(alg) {}
 
-  void ApplyHalves(const HalfUpdate* halves, size_t count) override {
-    for (size_t i = 0; i < count; ++i) {
-      alg_->UpdateEndpoint(halves[i].endpoint, halves[i].endpoint,
-                           halves[i].other, halves[i].delta);
-    }
-  }
-
   void ApplyNode(const NodeBatch& batch) override {
     ApplyNodeBatch(alg_, batch);
-  }
-
-  size_t AccumulateDelta(const NodeBatch& batch,
-                         std::vector<OneSparseCell>* scratch)
-      const override {
-    if constexpr (AlgHasDeltaMerge<Alg>::value) {
-      return alg_->AccumulateDelta(
-          batch.endpoint,
-          Span<const NodeId>(batch.others.data(), batch.others.size()),
-          Span<const int64_t>(batch.deltas.data(), batch.deltas.size()),
-          scratch);
-    } else {
-      (void)batch;
-      (void)scratch;
-      return 0;
-    }
-  }
-
-  void MergeDelta(NodeId endpoint, const OneSparseCell* scratch,
-                  size_t cells) override {
-    if constexpr (AlgHasDeltaMerge<Alg>::value) {
-      alg_->MergeDelta(endpoint, scratch, cells);
-    } else {
-      (void)endpoint;
-      (void)scratch;
-      (void)cells;
-    }
   }
 
  private:
@@ -182,14 +117,9 @@ class SketchDriver {
   explicit SketchDriver(Alg* alg, const DriverOptions& opt = DriverOptions())
       : alg_(alg),
         sink_(alg),
-        pipeline_(PipelineOptionsOf(opt)),
-        batch_size_(opt.batch_size) {
+        pipeline_(PipelineOptionsOf(opt)) {
     ChannelOptions copt;
     copt.gutter_bytes = opt.gutter_bytes;
-    copt.gutter_total_bytes = opt.gutter_total_bytes;
-    if constexpr (AlgHasCoalesceSafe<Alg>::value) {
-      copt.coalesce = alg_->CoalesceSafe();
-    }
     if (opt.eager_connectivity) {
       if constexpr (AlgHasNumNodes<Alg>::value) {
         copt.eager_nodes = alg_->num_nodes();
@@ -201,17 +131,15 @@ class SketchDriver {
   SketchDriver(const SketchDriver&) = delete;
   SketchDriver& operator=(const SketchDriver&) = delete;
 
-  /// Routes one stream token to its two endpoint shards (through the
-  /// gutters when enabled). Producer-side only; not safe to call from
-  /// multiple threads at once.
+  /// Buffers both endpoint halves of one stream token in the gutters.
+  /// Producer-side only; not safe to call from multiple threads at once.
   void Push(NodeId u, NodeId v, int64_t delta) {
     pipeline_.Push(sid_, u, v, delta);
   }
 
-  /// Flushes partial batches (and all gutters) and blocks until every
-  /// queued update has been applied. After Drain() returns, `*alg`
-  /// reflects the whole stream pushed so far and may be queried safely
-  /// from the calling thread.
+  /// Flushes all gutters and blocks until every queued update has been
+  /// applied. After Drain() returns, `*alg` reflects the whole stream
+  /// pushed so far and may be queried safely from the calling thread.
   void Drain() { pipeline_.Drain(sid_); }
 
   /// Ingests a whole in-memory stream and drains.
@@ -260,11 +188,10 @@ class SketchDriver {
   /// reader's diagnostic.
   bool ProcessFile(BinaryStreamReader* reader, std::string* error = nullptr) {
     std::vector<EdgeUpdate> batch;
-    const size_t batch_size = batch_size_ < 1 ? 1 : batch_size_;
-    batch.reserve(batch_size);
+    batch.reserve(kStreamReadChunk);
     while (!reader->Done() && reader->ok()) {
       batch.clear();
-      if (reader->ReadBatch(batch_size, &batch) == 0) break;
+      if (reader->ReadBatch(kStreamReadChunk, &batch) == 0) break;
       for (const auto& e : batch) Push(e.u, e.v, e.delta);
     }
     Drain();
@@ -287,17 +214,14 @@ class SketchDriver {
 
   uint32_t num_workers() const { return pipeline_.num_workers(); }
 
-  /// True when the driver runs the work-stealing delta-merge mode.
-  bool delta_mode() const { return pipeline_.delta_mode(); }
-
   /// Half-updates applied by worker `w` so far. Safe from any thread.
-  /// In delta mode this shows how evenly the shared queue spread the
-  /// stream (tests assert a hot-spot stream reaches every worker).
+  /// Shows how evenly the shared queue spread the stream (tests assert a
+  /// hot-spot stream reaches every worker).
   uint64_t WorkerAppliedHalves(uint32_t w) const {
     return pipeline_.WorkerAppliedHalves(w);
   }
 
-  /// The gutter layer's stats, when enabled (nullptr otherwise).
+  /// The gutter layer's stats.
   const GutterSystem* gutters() const { return pipeline_.gutters(sid_); }
 
   /// The eager exact-connectivity structure, when enabled and supported
@@ -319,17 +243,13 @@ class SketchDriver {
   static PipelineOptions PipelineOptionsOf(const DriverOptions& opt) {
     PipelineOptions popt;
     popt.num_workers = opt.num_workers;
-    popt.batch_size = opt.batch_size;
     popt.max_pending_batches = opt.max_pending_batches;
-    popt.delta_mode = opt.delta_mode;
-    popt.delta_min_batch = opt.delta_min_batch;
     return popt;
   }
 
   Alg* alg_;
   AlgIngestSink<Alg> sink_;  // must outlive pipeline_ (declared first)
   IngestPipeline pipeline_;
-  size_t batch_size_;
   IngestPipeline::SessionId sid_ = 0;
 };
 

@@ -29,7 +29,7 @@
 // which stream prefix it reflects. Linearity makes each answer
 // byte-identical to stopping ingestion at that position and querying
 // (tests/snapshot_test.cc proves it per registered family and per
-// ingestion mode, delta-merge included).
+// worker count and gutter size).
 //
 // Snapshots may also carry an EagerCut (src/driver/eager_forest.h): while
 // the stream prefix is insert-only, `connected`/`components` queries are

@@ -49,8 +49,6 @@ SketchSession* SessionManager::Create(const std::string& name,
       name, info, std::move(sketch), &pipeline_, cfg));
   ChannelOptions copt;
   copt.gutter_bytes = cfg.gutter_bytes;
-  copt.gutter_total_bytes = cfg.gutter_total_bytes;
-  copt.coalesce = session->sketch_->CoalesceSafe();
   if (cfg.eager_connectivity) {
     copt.eager_nodes = session->sketch_->num_nodes();
   }
@@ -95,8 +93,6 @@ SketchSession* SessionManager::OpenCheckpoint(const std::string& name,
       name, info, std::move(sketch), &pipeline_, cfg));
   ChannelOptions copt;
   copt.gutter_bytes = cfg.gutter_bytes;
-  copt.gutter_total_bytes = cfg.gutter_total_bytes;
-  copt.coalesce = session->sketch_->CoalesceSafe();
   // No eager forest: it needs the full edge history, which a checkpoint
   // does not carry (queries fall back to sketch decoding).
   copt.initial_stream_pos = ckpt->stream_pos;

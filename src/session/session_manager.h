@@ -46,8 +46,8 @@ namespace gsketch {
 /// Name → session map over one shared pipeline (see file comment).
 class SessionManager {
  public:
-  /// The pipeline options (worker count, batch/queue sizing, delta mode)
-  /// are process-wide: every session ingests through this one pool.
+  /// The pipeline options (worker count, queue bound) are process-wide:
+  /// every session ingests through this one pool.
   explicit SessionManager(const PipelineOptions& opt = PipelineOptions());
 
   /// Closes every remaining session (draining each), then stops the pool.

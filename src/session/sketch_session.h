@@ -32,8 +32,8 @@ struct SessionConfig {
   NodeId num_nodes = 0;   ///< node-universe size [0, n)
   uint64_t seed = 0;      ///< sketch hash seed (equal seeds merge)
   AlgOptions options;     ///< family knobs (k, epsilon, forest, ...)
-  size_t gutter_bytes = 0;        ///< per-node gutter bytes; 0 = off
-  size_t gutter_total_bytes = 0;  ///< global gutter cap; 0 = uncapped
+  /// Per-node gutter bytes; values below one 12-byte entry clamp to one.
+  size_t gutter_bytes = kDefaultGutterBytes;
   bool eager_connectivity = false;  ///< exact DSU fast path at Push time
   /// Periodic snapshot cadence for this session, in seconds; <= 0 means
   /// snapshots happen only on demand (scripted `snapshot` / query pins).
@@ -96,7 +96,7 @@ class SketchSession {
            pipeline_->GutterBufferedBytes(sid_);
   }
 
-  /// The session's gutter layer, when enabled (nullptr otherwise).
+  /// The session's gutter layer.
   const GutterSystem* gutters() const { return pipeline_->gutters(sid_); }
 
   /// The session's eager forest, when enabled (nullptr otherwise).

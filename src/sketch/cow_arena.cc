@@ -16,11 +16,11 @@ std::atomic<uint64_t> g_cow_epoch{0};
 // First-touch cloning serializes on the page index, not the arena: two
 // writers cloning different pages of one bank (or the same page index of
 // two banks — harmless false sharing of the lock only) proceed in
-// parallel. 64 stripes matches the driver's merge-lock striping.
+// parallel. 64 stripes matches the driver's apply-lock striping.
 //
 // Lock order (src/core/sync.h): an own-stripe is the INNER half of the
-// codebase's one nesting pair — delta-mode workers reach OwnPage while
-// holding an IngestPipeline delta stripe. Nothing is ever acquired under
+// codebase's one nesting pair — ingestion workers reach OwnPage while
+// holding an IngestPipeline apply stripe. Nothing is ever acquired under
 // an own-stripe.
 constexpr size_t kOwnStripes = 64;
 

@@ -115,7 +115,7 @@ TEST(Checkpoint, ResumedIngestionMayUseTheParallelDriver) {
   {
     DriverOptions opt;
     opt.num_workers = 4;
-    opt.batch_size = 32;
+    opt.gutter_bytes = 64;  // many small flushes
     SketchDriver<LinearSketch> driver(restored.get(), opt);
     const auto& ups = s.Updates();
     for (size_t i = ckpt->stream_pos; i < ups.size(); ++i) {

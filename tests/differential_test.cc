@@ -1,7 +1,7 @@
 // Differential tier (`ctest -L differential`): every registry family is
 // driven over seeded generated workloads (src/workload/) — through the
 // same ingestion paths the CLI uses (sequential updates, the multi-worker
-// driver, gutter-buffered batching, checkpoint/resume, shard/merge, and
+// driver at several gutter sizes, checkpoint/resume, shard/merge, and
 // query-while-ingest snapshots) — and its decoded answers are checked
 // against exact reference algorithms: DSU connectivity, BFS 2-coloring,
 // Stoer-Wagner min cut, brute-force cut families, and the exact order-3
@@ -87,12 +87,12 @@ std::string Repro(const Scenario& sc, const char* alg) {
 // The ingestion paths rotated across (scenario, family) pairs. Every pair
 // still checks against the same exact reference, so any path that decodes
 // differently from sequential ingestion fails its cell of the matrix.
-enum class IngestPath { kSequential, kDriver3, kGutter64, kGutter4096x2 };
+enum class IngestPath { kSequential, kGutter12x3, kGutter64, kGutter4096x2 };
 
 const char* PathName(IngestPath p) {
   switch (p) {
     case IngestPath::kSequential: return "sequential";
-    case IngestPath::kDriver3: return "driver-3-workers";
+    case IngestPath::kGutter12x3: return "gutter-12B-3-workers";
     case IngestPath::kGutter64: return "gutter-64B";
     case IngestPath::kGutter4096x2: return "gutter-4KiB-2-workers";
   }
@@ -108,8 +108,9 @@ void Ingest(LinearSketch* sk, const DynamicGraphStream& stream,
   }
   DriverOptions opt;
   switch (path) {
-    case IngestPath::kDriver3:
+    case IngestPath::kGutter12x3:
       opt.num_workers = 3;
+      opt.gutter_bytes = 12;
       break;
     case IngestPath::kGutter64:
       opt.num_workers = 1;
@@ -123,11 +124,8 @@ void Ingest(LinearSketch* sk, const DynamicGraphStream& stream,
       break;
   }
   // Mirror the CLI: algorithms that are not endpoint-sharded (triangles)
-  // ingest on one worker without gutters.
-  if (!sk->EndpointSharded()) {
-    opt.num_workers = 1;
-    opt.gutter_bytes = 0;
-  }
+  // ingest on one worker.
+  if (!sk->EndpointSharded()) opt.num_workers = 1;
   SketchDriver<LinearSketch> driver(sk, opt);
   driver.ProcessStream(stream);
   driver.Drain();
@@ -503,7 +501,7 @@ TEST(Differential, MidStreamSnapshotMatchesExactPrefix) {
     auto sk = info.make(sc.n, aopt, kSketchSeed);
     DriverOptions opt;
     opt.num_workers = info.endpoint_sharded ? 2 : 1;
-    if (info.endpoint_sharded) opt.gutter_bytes = 256;
+    opt.gutter_bytes = 256;
     SnapshotStore store;
     std::shared_ptr<const SketchSnapshot> snap;
     {

@@ -274,7 +274,7 @@ TEST(BinaryStream, RejectsOutOfRangeEndpoint) {
 }
 
 TEST(SketchDriver, EndpointHalvesComposeToFullUpdate) {
-  // The sharded driver relies on UpdateEndpoint(u) + UpdateEndpoint(v)
+  // The driver relies on UpdateEndpoint(u) + UpdateEndpoint(v)
   // producing the exact same sketch state as Update(u, v). Serialization
   // makes the comparison bit-exact.
   SpanningForestSketch whole(32, ForestOptions{}, 99);
@@ -309,21 +309,24 @@ TEST(SketchDriver, ConnectivityParityAcrossThreadCounts) {
   s.Replay([&](NodeId u, NodeId v, int64_t d) { sequential.Update(u, v, d); });
 
   for (uint32_t threads : {1u, 4u}) {
-    ConnectivitySketch parallel(kN, ForestOptions{}, kSeed);
-    DriverOptions opt;
-    opt.num_workers = threads;
-    opt.batch_size = 64;  // force many dispatches
-    SketchDriver<ConnectivitySketch> driver(&parallel, opt);
-    driver.ProcessStream(s);
-    EXPECT_EQ(driver.StreamUpdates(), s.Size());
-    EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
+    for (size_t gutter : {size_t{64}, size_t{4096}}) {
+      ConnectivitySketch parallel(kN, ForestOptions{}, kSeed);
+      DriverOptions opt;
+      opt.num_workers = threads;
+      opt.gutter_bytes = gutter;
+      SketchDriver<ConnectivitySketch> driver(&parallel, opt);
+      driver.ProcessStream(s);
+      EXPECT_EQ(driver.StreamUpdates(), s.Size());
+      EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
 
-    // Identical sketch state decodes to the identical forest, so the
-    // answers match exactly, not just approximately.
-    EXPECT_EQ(parallel.NumComponents(), sequential.NumComponents())
-        << threads << " threads";
-    EXPECT_EQ(SortedEdges(parallel.Forest()), SortedEdges(sequential.Forest()))
-        << threads << " threads";
+      // Identical sketch state decodes to the identical forest, so the
+      // answers match exactly, not just approximately.
+      EXPECT_EQ(parallel.NumComponents(), sequential.NumComponents())
+          << threads << " threads, gutter=" << gutter << "B";
+      EXPECT_EQ(SortedEdges(parallel.Forest()),
+                SortedEdges(sequential.Forest()))
+          << threads << " threads, gutter=" << gutter << "B";
+    }
   }
 }
 
@@ -347,7 +350,7 @@ TEST(SketchDriver, BipartitenessParityAcrossThreadCounts) {
       BipartitenessSketch parallel(n, ForestOptions{}, kSeed);
       DriverOptions opt;
       opt.num_workers = threads;
-      opt.batch_size = 16;
+      opt.gutter_bytes = 64;  // force many flushes
       SketchDriver<BipartitenessSketch> driver(&parallel, opt);
       driver.ProcessStream(s);
       EXPECT_EQ(parallel.IsBipartite(), sequential.IsBipartite())
@@ -371,7 +374,7 @@ TEST(SketchDriver, SparsifierParityAcrossThreadCounts) {
     SimpleSparsifier parallel(kN, sopt, kSeed);
     DriverOptions opt;
     opt.num_workers = threads;
-    opt.batch_size = 32;
+    opt.gutter_bytes = 64;  // force many flushes
     SketchDriver<SimpleSparsifier> driver(&parallel, opt);
     driver.ProcessStream(s);
     EXPECT_EQ(SortedEdges(parallel.Extract()), expected)
@@ -393,10 +396,10 @@ TEST(SketchDriver, DestructionWithoutDrainAppliesEverything) {
   {
     DriverOptions opt;
     opt.num_workers = 3;
-    opt.batch_size = 16;
+    opt.gutter_bytes = 64;
     SketchDriver<ConnectivitySketch> driver(&abandoned, opt);
     for (const auto& e : s.Updates()) driver.Push(e.u, e.v, e.delta);
-    // No Drain(): destruction must flush partial batches and wait.
+    // No Drain(): destruction must flush the gutters and wait.
   }
   std::string a, b;
   sequential.AppendTo(&a);
@@ -426,9 +429,10 @@ TEST(SketchDriver, ZeroUpdateStreamIsWellDefined) {
 }
 
 TEST(SketchDriver, BackpressureWithSingleSlotQueuesKeepsParity) {
-  // max_pending_batches=1 forces the producer to block on every dispatch
-  // until the worker catches up — the tightest legal flow-control setting.
-  // Parity must survive the constant producer/worker handoff.
+  // max_pending_batches=1 bounds the shared queue at one batch per worker,
+  // so the producer blocks whenever the workers fall behind — the
+  // tightest legal flow-control setting. Parity must survive the constant
+  // producer/worker handoff.
   constexpr NodeId kN = 48;
   constexpr uint64_t kSeed = 53;
   DynamicGraphStream s = TestStream(kN, 0.15, 41);
@@ -440,8 +444,8 @@ TEST(SketchDriver, BackpressureWithSingleSlotQueuesKeepsParity) {
   {
     DriverOptions opt;
     opt.num_workers = 4;
-    opt.batch_size = 8;           // many small batches
-    opt.max_pending_batches = 1;  // single-slot queues: maximal contention
+    opt.gutter_bytes = 24;        // two-entry gutters: many small batches
+    opt.max_pending_batches = 1;  // tiny queue: maximal contention
     SketchDriver<ConnectivitySketch> driver(&throttled, opt);
     driver.ProcessStream(s);
     EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
@@ -465,7 +469,6 @@ TEST(SketchDriver, ProcessFileMatchesInMemoryIngestion) {
   ConnectivitySketch parallel(kN, ForestOptions{}, kSeed);
   DriverOptions opt;
   opt.num_workers = 4;
-  opt.batch_size = 128;
   SketchDriver<ConnectivitySketch> driver(&parallel, opt);
   BinaryStreamReader reader(path);
   ASSERT_TRUE(reader.ok()) << reader.error();

@@ -4,12 +4,12 @@
 //
 // The load-bearing property is the multi-tenant restatement of linearity:
 // sessions apply to disjoint sketch objects, so however the shared worker
-// pool interleaves tenants' batches — sharded queues, gutter flushes, or
-// the work-stealing delta arena — each tenant's bytes equal a plain
-// sequential solo run of its own subsequence. The matrix covers 2 and 5
-// tenants, mixed registry families, 1 and 3 workers, gutters on/off, and
-// delta mode on/off, with mid-stream per-session drains thrown in so the
-// per-channel drain barrier runs while OTHER sessions keep flowing.
+// pool interleaves tenants' gutter flushes on its shared queue, each
+// tenant's bytes equal a plain sequential solo run of its own
+// subsequence. The matrix covers 2 and 5 tenants, mixed registry
+// families, 1 and 3 workers, and one-entry, small and default gutters,
+// with mid-stream per-session drains thrown in so the per-channel drain
+// barrier runs while OTHER sessions keep flowing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,7 +55,7 @@ TEST(ResolveWorkers, ZeroMeansHardwareExplicitPassesThrough) {
 
 // The full matrix: per-tenant byte parity of co-hosted ingestion against
 // plain sequential solo runs, for every combination of tenant count,
-// worker count, gutters, and delta mode. Families are assigned round-robin
+// worker count, and gutter size. Families are assigned round-robin
 // from the registry (the sharded subset when workers > 1, since the
 // session layer refuses non-sharded families on a multi-worker pool).
 TEST(SessionParity, CoHostedTenantsMatchSoloBytes) {
@@ -66,76 +66,70 @@ TEST(SessionParity, CoHostedTenantsMatchSoloBytes) {
         if (threads == 1 || info.endpoint_sharded) fams.push_back(&info);
       }
       ASSERT_GE(fams.size(), 2u);
-      for (size_t gutter_bytes : {size_t{0}, size_t{4096}}) {
-        for (bool delta_mode : {false, true}) {
-          SCOPED_TRACE("tenants=" + std::to_string(tenants) +
-                       " threads=" + std::to_string(threads) +
-                       " gutter=" + std::to_string(gutter_bytes) +
-                       " delta=" + std::to_string(delta_mode));
-          const uint64_t seed =
-              kSeed + tenants * 1000 + threads * 100 + gutter_bytes / 64 +
-              (delta_mode ? 7 : 0);
-          std::vector<TaggedUpdate> trace =
-              GenerateMultiTenantTrace(kN, 400, tenants, seed);
+      for (size_t gutter_bytes : {size_t{12}, size_t{256}, size_t{4096}}) {
+        SCOPED_TRACE("tenants=" + std::to_string(tenants) +
+                     " threads=" + std::to_string(threads) +
+                     " gutter=" + std::to_string(gutter_bytes));
+        const uint64_t seed =
+            kSeed + tenants * 1000 + threads * 100 + gutter_bytes / 64;
+        std::vector<TaggedUpdate> trace =
+            GenerateMultiTenantTrace(kN, 400, tenants, seed);
 
-          // Solo references: each tenant's subsequence applied through a
-          // plain sequential Update loop — the gold standard every
-          // ingestion mode must match byte for byte.
-          std::vector<std::string> expected(tenants);
-          std::vector<uint64_t> tokens(tenants, 0);
-          for (uint32_t t = 0; t < tenants; ++t) {
-            auto solo = fams[t % fams.size()]->make(kN, AlgOptions{}, kSeed);
-            for (const TaggedUpdate& e : trace) {
-              if (e.tenant != t) continue;
-              solo->Update(e.u, e.v, e.delta);
-              ++tokens[t];
-            }
-            expected[t] = Bytes(*solo);
-          }
-
-          // Co-hosted run over one shared pipeline.
-          PipelineOptions popt;
-          popt.num_workers = threads;
-          popt.delta_mode = delta_mode;
-          popt.delta_min_batch = 1;  // force the delta arena when supported
-          SessionManager mgr(popt);
-          std::vector<SketchSession*> sessions(tenants);
-          for (uint32_t t = 0; t < tenants; ++t) {
-            SessionConfig cfg;
-            cfg.num_nodes = kN;
-            cfg.seed = kSeed;
-            cfg.gutter_bytes = gutter_bytes;
-            std::string err;
-            sessions[t] = mgr.Create(TenantName(t),
-                                     fams[t % fams.size()]->name, cfg, &err);
-            ASSERT_NE(sessions[t], nullptr) << err;
-          }
-          size_t pushed = 0;
+        // Solo references: each tenant's subsequence applied through a
+        // plain sequential Update loop — the gold standard co-hosted
+        // ingestion must match byte for byte.
+        std::vector<std::string> expected(tenants);
+        std::vector<uint64_t> tokens(tenants, 0);
+        for (uint32_t t = 0; t < tenants; ++t) {
+          auto solo = fams[t % fams.size()]->make(kN, AlgOptions{}, kSeed);
           for (const TaggedUpdate& e : trace) {
-            sessions[e.tenant]->Push(e.u, e.v, e.delta);
-            // Mid-stream per-session drains: the barrier must cut ONE
-            // session consistently while the others keep flowing.
-            if (++pushed % 97 == 0) {
-              sessions[pushed % tenants]->Drain();
-            }
+            if (e.tenant != t) continue;
+            solo->Update(e.u, e.v, e.delta);
+            ++tokens[t];
           }
-          size_t total_memory = 0;
-          for (uint32_t t = 0; t < tenants; ++t) {
-            sessions[t]->Drain();
-            EXPECT_EQ(sessions[t]->stream_pos(), tokens[t]);
-            EXPECT_EQ(sessions[t]->applied_halves(), 2 * tokens[t]);
-            EXPECT_EQ(Bytes(sessions[t]->sketch()), expected[t])
-                << "tenant " << t << " (" << fams[t % fams.size()]->name
-                << ") diverged from its solo run";
-            // Post-drain, gutters are empty: memory is exactly the cells.
-            EXPECT_EQ(sessions[t]->MemoryBytes(),
-                      sessions[t]->sketch().CellCount() *
-                          sizeof(OneSparseCell));
-            total_memory += sessions[t]->MemoryBytes();
-          }
-          EXPECT_EQ(mgr.TotalMemoryBytes(), total_memory);
-          EXPECT_EQ(mgr.size(), tenants);
+          expected[t] = Bytes(*solo);
         }
+
+        // Co-hosted run over one shared pipeline.
+        PipelineOptions popt;
+        popt.num_workers = threads;
+        SessionManager mgr(popt);
+        std::vector<SketchSession*> sessions(tenants);
+        for (uint32_t t = 0; t < tenants; ++t) {
+          SessionConfig cfg;
+          cfg.num_nodes = kN;
+          cfg.seed = kSeed;
+          cfg.gutter_bytes = gutter_bytes;
+          std::string err;
+          sessions[t] = mgr.Create(TenantName(t),
+                                   fams[t % fams.size()]->name, cfg, &err);
+          ASSERT_NE(sessions[t], nullptr) << err;
+        }
+        size_t pushed = 0;
+        for (const TaggedUpdate& e : trace) {
+          sessions[e.tenant]->Push(e.u, e.v, e.delta);
+          // Mid-stream per-session drains: the barrier must cut ONE
+          // session consistently while the others keep flowing.
+          if (++pushed % 97 == 0) {
+            sessions[pushed % tenants]->Drain();
+          }
+        }
+        size_t total_memory = 0;
+        for (uint32_t t = 0; t < tenants; ++t) {
+          sessions[t]->Drain();
+          EXPECT_EQ(sessions[t]->stream_pos(), tokens[t]);
+          EXPECT_EQ(sessions[t]->applied_halves(), 2 * tokens[t]);
+          EXPECT_EQ(Bytes(sessions[t]->sketch()), expected[t])
+              << "tenant " << t << " (" << fams[t % fams.size()]->name
+              << ") diverged from its solo run";
+          // Post-drain, gutters are empty: memory is exactly the cells.
+          EXPECT_EQ(sessions[t]->MemoryBytes(),
+                    sessions[t]->sketch().CellCount() *
+                        sizeof(OneSparseCell));
+          total_memory += sessions[t]->MemoryBytes();
+        }
+        EXPECT_EQ(mgr.TotalMemoryBytes(), total_memory);
+        EXPECT_EQ(mgr.size(), tenants);
       }
     }
   }

@@ -121,8 +121,8 @@ TEST(LinearSketchContract, ConnectedQueryDecodesPairConnectivity) {
 // For every registered family: interleave SnapshotNow() captures with
 // ongoing ingestion and assert each snapshot — sketch bytes AND decoded
 // answer — is byte-identical to a drain-then-query run truncated at the
-// same stream_pos. Covers plain, gutter-buffered, and multi-worker
-// ingestion.
+// same stream_pos. Covers single- and multi-worker ingestion at one-entry,
+// small, and default gutter sizes.
 TEST(SnapshotParity, QueryUnderIngestMatchesDrainThenQueryAllFamilies) {
   DynamicGraphStream s = TestStream(7);
   const uint64_t t = s.Size();
@@ -131,13 +131,9 @@ TEST(SnapshotParity, QueryUnderIngestMatchesDrainThenQueryAllFamilies) {
   struct Config {
     uint32_t threads;
     size_t gutter_bytes;
-    bool delta = false;  // work-stealing delta-merge ingestion
   };
-  const std::vector<Config> configs = {{1, 0},
-                                       {3, 64},
-                                       {1, 4096},
-                                       {3, 0, /*delta=*/true},
-                                       {3, 4096, /*delta=*/true}};
+  const std::vector<Config> configs = {{1, 12}, {3, 64}, {1, 4096},
+                                       {3, 4096}};
 
   for (const AlgInfo& info : Registry()) {
     SCOPED_TRACE(info.name);
@@ -159,13 +155,11 @@ TEST(SnapshotParity, QueryUnderIngestMatchesDrainThenQueryAllFamilies) {
     for (const Config& cfg : configs) {
       if (cfg.threads > 1 && !info.endpoint_sharded) continue;
       SCOPED_TRACE("threads=" + std::to_string(cfg.threads) +
-                   " gutter=" + std::to_string(cfg.gutter_bytes) +
-                   (cfg.delta ? " delta" : ""));
+                   " gutter=" + std::to_string(cfg.gutter_bytes));
       auto sk = info.make(kN, AlgOptions{}, kSeed);
       DriverOptions opt;
       opt.num_workers = cfg.threads;
       opt.gutter_bytes = cfg.gutter_bytes;
-      opt.delta_mode = cfg.delta;
       SketchDriver<LinearSketch> driver(sk.get(), opt);
       SnapshotStore store;
 

@@ -103,13 +103,9 @@ void PrintUsage(std::FILE* out, const char* argv0) {
       "  inspect      describe a GSKC checkpoint file\n"
       "options:  --threads N   worker threads (%s;\n"
       "                        serve, checkpoint, resume; default 1)\n"
-      "          --batch N     updates per dispatched batch (default 4096)\n"
-      "          --gutter B    per-node gutter buffers of B bytes; flushes\n"
-      "                        coalesce into dense per-node batches\n"
-      "                        (default 0 = off; try 4096)\n"
-      "          --delta       work-stealing ingestion: any worker claims\n"
-      "                        any batch, merges via sketch addition (same\n"
-      "                        bytes; helps hot-spot streams)\n"
+      "          --gutter B    per-node gutter buffers of B bytes in\n"
+      "                        [12, 2^30]; flushes coalesce into dense\n"
+      "                        per-node batches (default 4096)\n"
       "          --progress    live insertion-rate reporting on stderr\n"
       "          --at N        checkpoint after N updates (default: half)\n"
       "          --k K         witness strength for %s (default 3)\n"
@@ -192,14 +188,14 @@ constexpr uint64_t kWholeStream = UINT64_MAX;
 
 /// THE binary read loop: streams the first `limit` records (kWholeStream
 /// = all of them) of the GSKB file at `path` into `fn(const EdgeUpdate&)`
-/// in `batch_size` chunks. Every consumer (LoadAnyStream,
+/// in kStreamReadChunk chunks. Every consumer (LoadAnyStream,
 /// IngestStreamRange, RunServe) funnels through here, so open failures,
 /// node-count mismatches, bad records, and early truncation print ONE
 /// uniform diagnostic instead of per-command drifting copies. Returns
 /// false after printing it.
 template <typename Fn>
-bool ForEachBinaryUpdate(const char* path, NodeId n, size_t batch_size,
-                         uint64_t limit, Fn&& fn) {
+bool ForEachBinaryUpdate(const char* path, NodeId n, uint64_t limit,
+                         Fn&& fn) {
   BinaryStreamReader reader(path);
   if (!reader.ok()) {
     std::fprintf(stderr, "error: %s: %s\n", path, reader.error().c_str());
@@ -212,11 +208,11 @@ bool ForEachBinaryUpdate(const char* path, NodeId n, size_t batch_size,
   }
   if (limit == kWholeStream) limit = reader.num_updates();
   std::vector<EdgeUpdate> batch;
-  batch.reserve(batch_size);
+  batch.reserve(kStreamReadChunk);
   uint64_t index = 0;
   while (!reader.Done() && reader.ok() && index < limit) {
     batch.clear();
-    if (reader.ReadBatch(batch_size, &batch) == 0) break;
+    if (reader.ReadBatch(kStreamReadChunk, &batch) == 0) break;
     for (const auto& e : batch) {
       if (index >= limit) break;
       fn(e);
@@ -335,7 +331,7 @@ bool LoadAnyStream(const char* path, NodeId n, DynamicGraphStream* out) {
   if (std::strcmp(path, "-") == 0) return LoadStdinStream(n, out);
   if (!LooksLikeBinaryStream(path)) return LoadTextStream(path, n, out);
   DynamicGraphStream stream(n);
-  if (!ForEachBinaryUpdate(path, n, /*batch_size=*/1 << 14, kWholeStream,
+  if (!ForEachBinaryUpdate(path, n, kWholeStream,
                            [&stream](const EdgeUpdate& e) {
                              stream.Push(e.u, e.v, e.delta);
                            })) {
@@ -347,9 +343,7 @@ bool LoadAnyStream(const char* path, NodeId n, DynamicGraphStream* out) {
 
 struct IngestOptions {
   uint32_t threads = 1;
-  size_t batch = 4096;
-  size_t gutter = 0;  ///< per-node gutter bytes; 0 = gutters off
-  bool delta = false;  ///< work-stealing delta-merge ingestion (--delta)
+  size_t gutter = kDefaultGutterBytes;  ///< per-node gutter bytes
   bool progress = false;
 };
 
@@ -406,18 +400,15 @@ bool IngestStreamRange(LinearSketch* alg, const char* path, NodeId n,
                        uint64_t from, uint64_t to, const IngestOptions& opt) {
   DriverOptions dopt;
   dopt.num_workers = alg->EndpointSharded() ? opt.threads : 1;
-  dopt.batch_size = opt.batch;
   dopt.gutter_bytes = opt.gutter;
-  dopt.delta_mode = opt.delta;
   SketchDriver<LinearSketch> driver(alg, dopt);
   std::optional<InsertionTracker> tracker;
   if (opt.progress) {
     // Name the RESOLVED worker count (0 means hardware concurrency, and
     // non-sharded algorithms clamp to 1), so the header states what the
     // run actually uses rather than echoing the flag.
-    std::fprintf(stderr, "progress: %u worker%s, %s ingestion\n",
-                 driver.num_workers(), driver.num_workers() == 1 ? "" : "s",
-                 driver.delta_mode() ? "delta-merge" : "sharded");
+    std::fprintf(stderr, "progress: %u worker%s\n", driver.num_workers(),
+                 driver.num_workers() == 1 ? "" : "s");
     // Report in stream tokens against the FULL stream length: the driver
     // counts endpoint halves (2 per token), so the counter halves it, and
     // a resumed range seeds the tracker at `from` (the checkpoint's
@@ -440,7 +431,7 @@ bool IngestStreamRange(LinearSketch* alg, const char* path, NodeId n,
     // Records before `from` are read and discarded (the format has no
     // index); records past `to` are never read.
     uint64_t index = 0;
-    ok = ForEachBinaryUpdate(path, n, opt.batch, to,
+    ok = ForEachBinaryUpdate(path, n, to,
                              [&](const EdgeUpdate& e) {
                                if (index >= from) {
                                  driver.Push(e.u, e.v, e.delta);
@@ -565,9 +556,7 @@ int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
   auto sk = info.make(n, aopt, seed);
   DriverOptions dopt;
   dopt.num_workers = sk->EndpointSharded() ? opt.threads : 1;
-  dopt.batch_size = opt.batch;
   dopt.gutter_bytes = opt.gutter;
-  dopt.delta_mode = opt.delta;
   // Families whose exact answers the eager spanning forest can serve in
   // O(α) straight from the producer thread (insert-only streams; the
   // forest invalidates itself on the first deletion it cannot absorb).
@@ -578,9 +567,8 @@ int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
   QueryEngine engine(&store, stdout);
   std::optional<InsertionTracker> tracker;
   if (opt.progress) {
-    std::fprintf(stderr, "progress: %u worker%s, %s ingestion\n",
-                 driver.num_workers(), driver.num_workers() == 1 ? "" : "s",
-                 driver.delta_mode() ? "delta-merge" : "sharded");
+    std::fprintf(stderr, "progress: %u worker%s\n", driver.num_workers(),
+                 driver.num_workers() == 1 ? "" : "s");
     tracker.emplace(total, [&driver] { return driver.TotalUpdates() / 2; });
   }
 
@@ -640,7 +628,7 @@ int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
       ++pushed;
     }
   } else {
-    ok = ForEachBinaryUpdate(path, n, opt.batch, total,
+    ok = ForEachBinaryUpdate(path, n, total,
                              [&](const EdgeUpdate& e) {
                                serve_boundary();
                                driver.Push(e.u, e.v, e.delta);
@@ -879,8 +867,6 @@ int RunServeMulti(NodeId n, const char* trace_path, uint64_t seed,
 
   PipelineOptions popt;
   popt.num_workers = opt.threads;
-  popt.batch_size = opt.batch;
-  popt.delta_mode = opt.delta;
   SessionManager manager(popt);
   std::vector<SketchSession*> sessions(tenants, nullptr);
   for (uint32_t t = 0; t < tenants; ++t) {
@@ -1102,7 +1088,7 @@ int RunShard(const AlgInfo& info, NodeId n, const char* stream_path,
         uint64_t index = 0;
         while (!reader.Done() && reader.ok()) {
           batch.clear();
-          if (reader.ReadBatch(4096, &batch) == 0) break;
+          if (reader.ReadBatch(kStreamReadChunk, &batch) == 0) break;
           for (const auto& e : batch) {
             if (index % shards == j) {
               sk->Update(e.u, e.v, e.delta);
@@ -1506,38 +1492,30 @@ int main(int argc, char** argv) {
         copt.shards = static_cast<uint32_t>(value);
         shards_given = true;
       }
-    } else if (arg == "--threads" || arg == "--batch") {
+    } else if (arg == "--threads") {
       if (i + 1 >= argc || !ParseU64(argv[i + 1], &value) || value == 0) {
-        std::fprintf(stderr, "error: %s needs a positive integer\n",
-                     arg.c_str());
+        std::fprintf(stderr, "error: --threads needs a positive integer\n");
         return kExitUsage;
       }
       ++i;
       ingest_flags_given = true;
-      if (arg == "--threads") {
-        if (value > kMaxThreads) {
-          std::fprintf(stderr, "error: --threads must be <= %llu\n",
-                       static_cast<unsigned long long>(kMaxThreads));
-          return kExitUsage;
-        }
-        opt.threads = static_cast<uint32_t>(value);
-      } else {
-        opt.batch = value;
+      if (value > kMaxThreads) {
+        std::fprintf(stderr, "error: --threads must be <= %llu\n",
+                     static_cast<unsigned long long>(kMaxThreads));
+        return kExitUsage;
       }
+      opt.threads = static_cast<uint32_t>(value);
     } else if (arg == "--gutter") {
-      // 0 is a valid value (gutters explicitly off); cap at 1 GiB/node.
+      // At least one 12-byte entry per gutter; cap at 1 GiB/node.
       if (i + 1 >= argc || !ParseU64(argv[i + 1], &value) ||
-          value > (uint64_t{1} << 30)) {
+          value < kGutterEntryBytes || value > (uint64_t{1} << 30)) {
         std::fprintf(stderr,
-                     "error: --gutter needs a byte count in [0, 2^30]\n");
+                     "error: --gutter needs a byte count in [12, 2^30]\n");
         return kExitUsage;
       }
       ++i;
       ingest_flags_given = true;
       opt.gutter = value;
-    } else if (arg == "--delta") {
-      opt.delta = true;
-      ingest_flags_given = true;
     } else if (arg == "--progress") {
       opt.progress = true;
       ingest_flags_given = true;
@@ -1579,8 +1557,7 @@ int main(int argc, char** argv) {
   auto reject_ingest = [&](const char* why) -> bool {
     if (!ingest_flags_given) return false;
     std::fprintf(stderr,
-                 "error: --threads/--batch/--gutter/--delta/--progress "
-                 "apply only to %s\n",
+                 "error: --threads/--gutter/--progress apply only to %s\n",
                  why);
     return true;
   };
