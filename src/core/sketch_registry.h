@@ -153,7 +153,9 @@ class LinearSketch {
 
   /// True when distinct endpoints touch disjoint sketch state, making
   /// multi-worker ingestion under per-endpoint locks safe. False
-  /// (SubgraphSketch) restricts the driver to one worker.
+  /// (SubgraphSketch) restricts the driver to one worker, and the
+  /// pipeline applies the sketch's batches one at a time (its producer
+  /// applies too).
   virtual bool EndpointSharded() const { return true; }
 };
 

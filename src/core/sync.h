@@ -34,14 +34,16 @@
 //   IngestPipeline::Shard::mu      queue push/pop; NEVER held while a
 //                                  batch is applied to a sketch
 //   IngestPipeline::stripes_[i]    apply stripe, per (session, endpoint);
-//                                  held across sink apply calls
+//                                  held across sink apply calls, by a
+//                                  worker or by the producer (caller-runs
+//                                  flushes and Drain's help)
 //   CowCellArena own-stripe        first-touch page clone; acquired UNDER
 //                                  an apply stripe when an ingestion
 //                                  apply first touches a COW page
 //   IngestPipeline::drained_mu_    drain barrier wakeup; leaf — taken with
-//                                  no other lock held, by design (workers
+//                                  no other lock held, by design (appliers
 //                                  only touch it after releasing
-//                                  everything else; see WorkerLoop)
+//                                  everything else; see ApplyItem)
 //   SnapshotStore::mu_             latest-snapshot slot; leaf
 //   QueryEngine::mu_               submission queue; leaf — answers are
 //                                  decoded with the lock RELEASED

@@ -86,9 +86,23 @@ void IngestPipeline::DrainAll() {
 
 void IngestPipeline::DrainChannel(Channel* ch) {
   ch->gutter.FlushAll();
+  // Help instead of sleeping: apply what is still queued on this thread.
+  // Other sessions' batches are applied too — the queue is shared and
+  // every apply holds its stripe — which is no worse than waiting behind
+  // them. Only the batches workers already hold remain to wait for.
+  for (;;) {
+    WorkItem item;
+    {
+      MutexLock lock(shard_.mu);
+      if (shard_.queue.empty()) break;
+      item = std::move(shard_.queue.front());
+      shard_.queue.pop_front();
+    }
+    ApplyItem(item, &producer_applied_);
+  }
   // `enqueued_halves` is written only by this (producer) thread, so the
   // predicate's load always sees the final enqueue total; the atomic
-  // exists for the workers' cross-thread peek in WorkerLoop.
+  // exists for the workers' cross-thread peek in ApplyItem.
   const uint64_t target =
       ch->enqueued_halves.load(std::memory_order_relaxed);
   MutexLock lock(drained_mu_);
@@ -96,7 +110,7 @@ void IngestPipeline::DrainChannel(Channel* ch) {
   // drain_pending_ after bumping applied_halves; both sides use seq_cst,
   // so a worker that read drain_pending_ == false made its bump visible
   // to a predicate check that runs after this store (Dekker-style: no
-  // lost wakeup, see WorkerLoop).
+  // lost wakeup, see ApplyItem).
   drain_pending_.store(true, std::memory_order_seq_cst);
   // seq_cst: the Dekker pairing above — this load must be in the single
   // total order with the workers' fetch_add / drain_pending_ load.
@@ -144,20 +158,24 @@ std::shared_ptr<const EagerCut> IngestPipeline::CaptureEagerCut(
                                                : nullptr;
 }
 
-// The gutter sink: hands one flush to the shared queue, blocking while
-// the queue is full (backpressure on the producer).
+// The gutter sink: hands one flush to the shared queue, or applies it
+// right here when the queue is full (caller-runs backpressure: the queue
+// stays bounded, and the producer works instead of waiting for a slot).
 void IngestPipeline::Enqueue(SessionId sid, NodeBatch&& batch) {
   WorkItem item{channels_[sid], std::move(batch)};
   // relaxed: producer-only writer (single-producer contract); workers
   // re-read it seq_cst in the drain pairing, producers see it plain.
   item.ch->enqueued_halves.fetch_add(item.batch.halves,
                                      std::memory_order_relaxed);
-  MutexLock lock(shard_.mu);
-  while (shard_.queue.size() >= queue_capacity_) {
-    shard_.not_full.Wait(shard_.mu);
+  {
+    MutexLock lock(shard_.mu);
+    if (shard_.queue.size() < queue_capacity_) {
+      shard_.queue.push_back(std::move(item));
+      shard_.not_empty.NotifyOne();
+      return;
+    }
   }
-  shard_.queue.push_back(std::move(item));
-  shard_.not_empty.NotifyOne();
+  ApplyItem(item, &producer_applied_);
 }
 
 void IngestPipeline::WorkerLoop(uint32_t w) {
@@ -171,36 +189,39 @@ void IngestPipeline::WorkerLoop(uint32_t w) {
       if (shard_.queue.empty()) return;  // stopping and fully drained
       item = std::move(shard_.queue.front());
       shard_.queue.pop_front();
-      shard_.not_full.NotifyOne();
     }
-    Channel& ch = *item.ch;
-    {
-      // Held across the sink call: the sketch's COW arena may take its
-      // own-stripe under this stripe (the sanctioned nesting, sync.h).
-      MutexLock lock(Stripe(ch, item.batch.endpoint));
-      ch.sink->ApplyNode(item.batch);
-    }
-    const uint64_t applied = item.batch.halves;
-    // relaxed: single-writer stats counter (this worker), staleness-
-    // tolerant readers.
-    worker_applied_[w].fetch_add(applied, std::memory_order_relaxed);
-    const uint64_t now_applied =
-        ch.applied_halves.fetch_add(applied, std::memory_order_seq_cst) +
-        applied;
-    // Only touch the drain mutex when someone can be waiting: a drain is
-    // pending, or this bump reached the channel's enqueue total (the
-    // worker-side peek is advisory; the producer may be mid-dispatch).
-    // Taking drained_mu_ after EVERY item would serialize all workers on
-    // one mutex that only matters at drain time. No lost wakeup: Drain
-    // sets drain_pending_ (seq_cst) before its first predicate check, so
-    // if the load below reads false, this fetch_add is ordered before
-    // that check and the predicate already sees the final count.
-    if (drain_pending_.load(std::memory_order_seq_cst) ||
-        now_applied ==
-            ch.enqueued_halves.load(std::memory_order_seq_cst)) {
-      MutexLock lock(drained_mu_);
-      drained_.NotifyAll();
-    }
+    ApplyItem(item, &worker_applied_[w]);
+  }
+}
+
+void IngestPipeline::ApplyItem(const WorkItem& item,
+                               std::atomic<uint64_t>* applied_by) {
+  Channel& ch = *item.ch;
+  {
+    // Held across the sink call: the sketch's COW arena may take its
+    // own-stripe under this stripe (the sanctioned nesting, sync.h).
+    MutexLock lock(Stripe(ch, item.batch.endpoint));
+    ch.sink->ApplyNode(item.batch);
+  }
+  const uint64_t applied = item.batch.halves;
+  // relaxed: single-writer stats counter (one worker, or the producer),
+  // staleness-tolerant readers.
+  applied_by->fetch_add(applied, std::memory_order_relaxed);
+  const uint64_t now_applied =
+      ch.applied_halves.fetch_add(applied, std::memory_order_seq_cst) +
+      applied;
+  // Only touch the drain mutex when someone can be waiting: a drain is
+  // pending, or this bump reached the channel's enqueue total (the
+  // worker-side peek is advisory; the producer may be mid-dispatch).
+  // Taking drained_mu_ after EVERY item would serialize all appliers on
+  // one mutex that only matters at drain time. No lost wakeup: Drain
+  // sets drain_pending_ (seq_cst) before its first predicate check, so
+  // if the load below reads false, this fetch_add is ordered before
+  // that check and the predicate already sees the final count.
+  if (drain_pending_.load(std::memory_order_seq_cst) ||
+      now_applied == ch.enqueued_halves.load(std::memory_order_seq_cst)) {
+    MutexLock lock(drained_mu_);
+    drained_.NotifyAll();
   }
 }
 

@@ -18,7 +18,15 @@
 // irrelevant, so ingestion needs mutual exclusion per node, not ownership
 // of nodes: a hot node's batches go to whichever worker is free. Every
 // work item is tagged with its channel, so workers dispatch per batch on
-// the session (one virtual call per batch, not per update). Isolation
+// the session (one virtual call per batch, not per update).
+//
+// The producer is an applier too, never a sleeper. A flush that finds the
+// queue full is applied on the producer thread (caller-runs backpressure:
+// the queue stays bounded and the producer does useful work instead of
+// waiting for a slot), and Drain applies queued batches itself before it
+// waits for the ones workers hold. So even a one-worker pool has two
+// appliers, and a sink whose endpoints share state (EndpointSharded() ==
+// false) gets one stripe for all its endpoints. Isolation
 // invariant: distinct sessions apply to DISJOINT sketch objects, so
 // co-hosted ingestion leaves every tenant's sketch byte-identical to that
 // tenant running solo (tests/session_test.cc proves it per family).
@@ -33,9 +41,10 @@
 // capability-annotated gsketch::Mutex (src/core/sync.h), guarded fields
 // carry GSKETCH_GUARDED_BY, and clang -Wthread-safety rejects any access
 // that cannot prove it holds the lock. Lock order (see sync.h):
-// Shard::mu is never held while a batch is applied; an apply stripe may
-// nest a CowCellArena own-stripe under it (the only nesting pair in the
-// codebase); drained_mu_ is a leaf taken with nothing else held.
+// Shard::mu is never held while a batch is applied; an apply stripe —
+// held by a worker or by the producer — may nest a CowCellArena
+// own-stripe under it (the only nesting pair in the codebase);
+// drained_mu_ is a leaf taken with nothing else held.
 #ifndef GRAPHSKETCH_SRC_DRIVER_INGEST_PIPELINE_H_
 #define GRAPHSKETCH_SRC_DRIVER_INGEST_PIPELINE_H_
 
@@ -63,16 +72,23 @@ uint32_t ResolveWorkerCount(uint32_t requested);
 
 /// The type-erased per-session apply surface. One sink wraps one sketch
 /// (see AlgIngestSink in src/driver/sketch_driver.h for the generic
-/// adapter); workers call it at batch granularity, so the virtual hop is
-/// amortized over a whole gutter flush. The pipeline serializes calls per
-/// (session, endpoint) with its apply stripes, so an implementation need
-/// only tolerate concurrent calls for DISTINCT endpoints.
+/// adapter); workers and the producer call it at batch granularity, so
+/// the virtual hop is amortized over a whole gutter flush. The pipeline
+/// serializes calls per (session, endpoint) with its apply stripes, so an
+/// implementation need only tolerate concurrent calls for DISTINCT
+/// endpoints — or none at all, if it says so through EndpointSharded().
 class IngestSink {
  public:
   virtual ~IngestSink() = default;
 
   /// Applies one dense per-node batch (a gutter flush) in place.
   virtual void ApplyNode(const NodeBatch& batch) = 0;
+
+  /// False when applying one endpoint's batch may touch state another
+  /// endpoint's batch also touches (e.g. min-endpoint sketches); the
+  /// pipeline then serializes every apply of the session on one stripe.
+  /// Read once, at Attach.
+  virtual bool EndpointSharded() const { return true; }
 };
 
 /// Tuning knobs for the shared pipeline (the worker-pool half of
@@ -80,7 +96,8 @@ class IngestSink {
 struct PipelineOptions {
   uint32_t num_workers = 1;  ///< worker threads; 0 = hardware concurrency
   /// Queue bound per worker: the shared queue holds at most
-  /// max_pending_batches × workers batches (backpressure).
+  /// max_pending_batches × workers batches; a flush that finds it full is
+  /// applied on the producer thread (backpressure).
   size_t max_pending_batches = 8;
 };
 
@@ -122,15 +139,16 @@ class IngestPipeline {
   void Detach(SessionId sid) GSKETCH_EXCLUDES(drained_mu_);
 
   /// Buffers both endpoint halves of one stream token of session `sid` in
-  /// the session's gutters (a full gutter flushes to the shared queue).
-  /// Producer-side.
-  void Push(SessionId sid, NodeId u, NodeId v, int64_t delta);
+  /// the session's gutters (a full gutter flushes to the shared queue, or
+  /// is applied right here when the queue is full). Producer-side.
+  void Push(SessionId sid, NodeId u, NodeId v, int64_t delta)
+      GSKETCH_EXCLUDES(drained_mu_);
 
-  /// Flushes the session's gutters and blocks until every queued update
-  /// OF THIS SESSION has been applied; its sketch then reflects the whole
-  /// stream pushed so far and may be read safely.
-  /// Other sessions' items keep flowing through the workers meanwhile.
-  /// Producer-side.
+  /// Flushes the session's gutters, applies queued batches on the calling
+  /// thread until the queue is empty, then blocks until every update OF
+  /// THIS SESSION has been applied; its sketch then reflects the whole
+  /// stream pushed so far and may be read safely. Other sessions' items
+  /// keep flowing through the workers meanwhile. Producer-side.
   void Drain(SessionId sid) GSKETCH_EXCLUDES(drained_mu_);
 
   /// Drains every live session. Producer-side.
@@ -171,6 +189,14 @@ class IngestPipeline {
     return worker_applied_[w].load(std::memory_order_relaxed);
   }
 
+  /// Half-updates the producer applied itself so far (full-queue flushes
+  /// and Drain's help), across all sessions. With every
+  /// WorkerAppliedHalves it sums to all applied halves.
+  uint64_t ProducerAppliedHalves() const {
+    // relaxed: monotone stats counter, readers tolerate staleness.
+    return producer_applied_.load(std::memory_order_relaxed);
+  }
+
   /// Channels currently attached.
   size_t num_sessions() const { return live_channels_; }
 
@@ -180,10 +206,14 @@ class IngestPipeline {
   // producer Detaches the (already drained) channel first.
   struct Channel {
     Channel(SessionId sid, IngestSink* s, GutterSystem g)
-        : id(sid), sink(s), gutter(std::move(g)) {}
+        : id(sid),
+          sink(s),
+          endpoint_sharded(s->EndpointSharded()),
+          gutter(std::move(g)) {}
 
     const SessionId id;
     IngestSink* const sink;
+    const bool endpoint_sharded;
     GutterSystem gutter;  // producer-side
     std::unique_ptr<EagerForest> eager;  // producer-side (eager mode)
     uint64_t stream_updates = 0;  // producer-side token count
@@ -202,15 +232,20 @@ class IngestPipeline {
   struct Shard {
     Mutex mu;
     CondVar not_empty;
-    CondVar not_full;
     std::deque<WorkItem> queue GSKETCH_GUARDED_BY(mu);
     bool stopping GSKETCH_GUARDED_BY(mu) = false;
   };
 
   Channel* Get(SessionId sid) const;
-  void Enqueue(SessionId sid, NodeBatch&& batch);
+  void Enqueue(SessionId sid, NodeBatch&& batch)
+      GSKETCH_EXCLUDES(drained_mu_);
   void DrainChannel(Channel* ch) GSKETCH_EXCLUDES(drained_mu_);
-  void WorkerLoop(uint32_t w);
+  void WorkerLoop(uint32_t w) GSKETCH_EXCLUDES(drained_mu_);
+  // Applies one item under its stripe, credits `applied_by` (a worker's
+  // counter or the producer's) and the channel, and wakes a pending
+  // drain. Shared by the workers and the producer.
+  void ApplyItem(const WorkItem& item, std::atomic<uint64_t>* applied_by)
+      GSKETCH_EXCLUDES(drained_mu_);
 
   // Stripe count for the per-(session, endpoint) apply locks: comfortably
   // above any sane worker count so two hot nodes rarely share a stripe,
@@ -220,8 +255,10 @@ class IngestPipeline {
   Mutex& Stripe(const Channel& ch, NodeId endpoint) {
     // Distinct sessions hosting the same hot endpoint spread over
     // different stripes (golden-ratio session scatter); a collision only
-    // costs contention, never correctness.
-    return stripes_[(endpoint + ch.id * 0x9e3779b9u) % kLockStripes];
+    // costs contention, never correctness. A non-sharded sink keys every
+    // endpoint to 0, so its applies never overlap.
+    const NodeId key = ch.endpoint_sharded ? endpoint : 0;
+    return stripes_[(key + ch.id * 0x9e3779b9u) % kLockStripes];
   }
 
   size_t queue_capacity_ = 0;  // max_pending_batches × workers
@@ -239,10 +276,11 @@ class IngestPipeline {
   size_t live_channels_ = 0;
   std::vector<std::thread> threads_;
   std::unique_ptr<std::atomic<uint64_t>[]> worker_applied_;  // per worker
+  std::atomic<uint64_t> producer_applied_{0};
   std::atomic<bool> drain_pending_{false};
   // Pure wakeup channel for the drain barrier: the predicate reads the
   // channel ATOMICS, so the mutex guards no fields — it only serializes
-  // the Dekker-style wait/notify pairing (see DrainChannel/WorkerLoop).
+  // the Dekker-style wait/notify pairing (see DrainChannel/ApplyItem).
   // Leaf lock: taken with nothing else held, on both sides.
   Mutex drained_mu_;
   CondVar drained_;

@@ -19,7 +19,9 @@
 // Alg concept:
 //   void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v, int64_t delta);
 // where the call touches only state owned by stream node `endpoint`
-// (every registered family satisfies this). Deltas are int64_t end to end
+// (every registered family but triangles satisfies this; an Alg that does
+// not says so with `bool EndpointSharded() const` returning false, and
+// the pipeline then serializes its applies). Deltas are int64_t end to end
 // in memory — the GSKB wire format stays int32 per record, but repeated
 // pushes may accumulate any int64 aggregate per edge. Algs may
 // additionally implement
@@ -30,7 +32,9 @@
 //
 // Flow control: the producer (the thread calling Push/ProcessStream)
 // fills the gutters; `max_pending_batches` per worker bounds the shared
-// queue, so a producer that outruns the workers blocks (backpressure).
+// queue, so a producer that outruns the workers applies the flush that
+// found the queue full itself (backpressure), and Drain applies what is
+// still queued before waiting for the workers.
 //
 // Concurrency contract: the driver itself owns no locks — every mutex it
 // relies on is a capability-annotated gsketch::Mutex inside the pipeline
@@ -68,9 +72,20 @@ struct AlgHasNumNodes<
     Alg, std::void_t<decltype(std::declval<const Alg&>().num_nodes())>>
     : std::true_type {};
 
+/// Detects `bool EndpointSharded() const` on an Alg (LinearSketch has
+/// it); Algs without it are endpoint-sharded, as the driver concept says.
+template <typename Alg, typename = void>
+struct AlgHasEndpointSharded : std::false_type {};
+template <typename Alg>
+struct AlgHasEndpointSharded<
+    Alg,
+    std::void_t<decltype(std::declval<const Alg&>().EndpointSharded())>>
+    : std::true_type {};
+
 /// Where a snapshot's latency went: `drain_ms` is the barrier — flushing
-/// gutters and waiting for workers to apply every queued half-update
-/// (relocated ingestion work, not overhead); `publish_ms` is the capture
+/// gutters, applying what is still queued, and waiting for the workers'
+/// in-flight batches (relocated ingestion work, not overhead);
+/// `publish_ms` is the capture
 /// itself — with COW arenas, an O(pages) fork plus the store publish.
 struct SnapshotTiming {
   double drain_ms = 0;
@@ -81,7 +96,9 @@ struct SnapshotTiming {
 /// channel knobs, flattened for the single-sketch caller.
 struct DriverOptions {
   uint32_t num_workers = 1;  ///< worker threads; 0 = hardware concurrency
-  size_t max_pending_batches = 8;  ///< queue bound per worker (backpressure)
+  /// Queue bound per worker; a flush that finds the queue full is applied
+  /// on the producer thread (backpressure).
+  size_t max_pending_batches = 8;
   /// Per-node gutter bytes; values below one 12-byte entry clamp to one.
   size_t gutter_bytes = kDefaultGutterBytes;
   /// Maintain an exact union-find/spanning-forest inline at Push time
@@ -103,6 +120,14 @@ class AlgIngestSink : public IngestSink {
 
   void ApplyNode(const NodeBatch& batch) override {
     ApplyNodeBatch(alg_, batch);
+  }
+
+  bool EndpointSharded() const override {
+    if constexpr (AlgHasEndpointSharded<Alg>::value) {
+      return alg_->EndpointSharded();
+    } else {
+      return true;
+    }
   }
 
  private:
@@ -219,6 +244,12 @@ class SketchDriver {
   /// hot-spot stream reaches every worker).
   uint64_t WorkerAppliedHalves(uint32_t w) const {
     return pipeline_.WorkerAppliedHalves(w);
+  }
+
+  /// Half-updates the producer applied itself (full-queue flushes and
+  /// Drain's help). Safe from any thread.
+  uint64_t ProducerAppliedHalves() const {
+    return pipeline_.ProducerAppliedHalves();
   }
 
   /// The gutter layer's stats.

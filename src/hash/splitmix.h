@@ -67,13 +67,14 @@ inline constexpr bool GeometricCoin(uint64_t word, uint32_t i) {
 
 /// Number of leading fair-coin successes in the word (trailing zero count,
 /// capped). Determines the deepest subsampling level an element survives to.
+/// Branch-free below 64: setting bit `cap` makes the count stop there, so
+/// min(ctz(word), cap) costs one OR and one count instead of one
+/// unpredictable loop exit per level.
 inline constexpr uint32_t GeometricLevel(uint64_t word, uint32_t cap) {
-  uint32_t lvl = 0;
-  while (lvl < cap && (word & 1) == 0) {
-    word >>= 1;
-    ++lvl;
+  if (cap >= 64) {
+    return word == 0 ? cap : static_cast<uint32_t>(__builtin_ctzll(word));
   }
-  return lvl;
+  return static_cast<uint32_t>(__builtin_ctzll(word | (uint64_t{1} << cap)));
 }
 
 }  // namespace gsketch

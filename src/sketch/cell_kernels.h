@@ -8,18 +8,24 @@
 // separate hashing (data-parallel, vectorizable) from cell accumulation
 // (scatter, scalar).
 //
-// Two backends sit behind a one-time runtime dispatch:
+// Three backends sit behind a one-time runtime dispatch to the widest one
+// the CPU supports:
+//   - avx512: 8 lanes with native 64-bit multiplies (vpmullq) and masked
+//     tails, selected iff the CPU reports AVX-512F and AVX-512DQ;
+//   - avx2: 4 lanes, 64-bit multiplies emulated with 32-bit partial
+//     products, selected iff the CPU reports AVX2 (and not the above);
 //   - scalar: portable reference, written so the compiler's auto-vectorizer
-//     can also take it (verify with -fopt-info-vec);
-//   - avx2: explicit 4-lane AVX2 path (64-bit multiplies emulated with
-//     32-bit partial products), selected iff the CPU reports AVX2.
-// Both produce bit-identical output; tests/cell_kernel_test.cc proves the
-// dispatched backend against the scalar reference and the direct formulas.
+//     can also take it (verify with -fopt-info-vec); the only path
+//     elsewhere.
+// All produce bit-identical output; tests/cell_kernel_test.cc proves every
+// backend the CPU supports against the scalar reference and the direct
+// formulas.
 #ifndef GRAPHSKETCH_SRC_SKETCH_CELL_KERNELS_H_
 #define GRAPHSKETCH_SRC_SKETCH_CELL_KERNELS_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace gsketch {
 
@@ -34,14 +40,29 @@ void FingerBatch(uint64_t base, const uint64_t* ids, size_t count,
                  uint64_t* out);
 
 /// Portable reference implementations (always available; the dispatch
-/// targets on non-AVX2 hosts). Exposed so the CPU-dispatch parity test can
-/// compare the selected backend against them.
+/// targets on hosts without AVX2). Exposed so the CPU-dispatch parity test
+/// can compare every backend against them.
 void SplitMix64BatchScalar(uint64_t base, const uint64_t* ids, size_t count,
                            uint64_t* out);
 void FingerBatchScalar(uint64_t base, const uint64_t* ids, size_t count,
                        uint64_t* out);
 
-/// Name of the backend the dispatcher selected: "avx2" or "scalar".
+/// One compiled backend: its name and its two batch kernels.
+struct CellKernelTable {
+  using BatchHashFn = void (*)(uint64_t base, const uint64_t* ids,
+                               size_t count, uint64_t* out);
+  const char* name;
+  BatchHashFn splitmix;
+  BatchHashFn finger;
+};
+
+/// Every backend compiled into this build that the CPU can run, widest
+/// first; the dispatcher runs the first. Exposed so tests can prove each
+/// one against the scalar reference, not only the dispatched one.
+std::vector<CellKernelTable> SupportedCellKernels();
+
+/// Name of the backend the dispatcher selected: "avx512", "avx2" or
+/// "scalar".
 const char* CellKernelBackend();
 
 }  // namespace gsketch

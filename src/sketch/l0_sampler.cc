@@ -70,10 +70,11 @@ void L0CellsUpdateBatch(const L0Params& p, OneSparseCell* cells,
   // bases — Mix64(s, tag, id) == SplitMix64(Mix64(s, tag) + id). Only the
   // cell scatter remains scalar. Chunk buffers (3 × 2 KiB) stay in L1.
   constexpr size_t kChunk = 256;
-  // LevelsFor caps at 63, so per_rep <= 64 always; the guard keeps
-  // deserialized params with absurd level counts on the direct path.
+  // Params come only from L0Params::Make (deserialization included), whose
+  // LevelsFor caps levels at 63, so per_rep <= 64.
   constexpr uint32_t kMaxAccLevels = 64;
   const uint32_t per_rep = p.levels + 1;
+  assert(per_rep <= kMaxAccLevels);
   uint64_t residues[kChunk];
   uint64_t words[kChunk];
   uint64_t fingers[kChunk];
@@ -90,43 +91,33 @@ void L0CellsUpdateBatch(const L0Params& p, OneSparseCell* cells,
       SplitMix64Batch(Mix64(rep_seed, 0x5e7eu), cids, chunk, words);
       FingerBatch(Mix64(rep_seed, 0xf17eu), cids, chunk, fingers);
       OneSparseCell* rep_cells = cells + static_cast<size_t>(r) * per_rep;
-      if (per_rep <= kMaxAccLevels) {
-        // Suffix-sum scatter: an update surviving to level z contributes
-        // the SAME (delta, id*delta, term) to every level 0..z, so add it
-        // once at level z and fold acc[l] += acc[l+1] top-down — one
-        // accumulator touch per update instead of z+1 cell read-modify-
-        // writes (avg 2 per update at geometric z). Identical arithmetic,
-        // identical bytes; the accumulators live on the stack in L1.
-        OneSparseCell acc[kMaxAccLevels];
-        for (uint32_t l = 0; l < per_rep; ++l) acc[l] = OneSparseCell{};
-        // Finalize levels and terms in place first (branch-free, high
-        // ILP), so the accumulate loop below is nothing but the dependent
-        // read-modify-writes. ±1 deltas dominate real streams, and their
-        // Mersenne products collapse: ResidueOf(1)=1 so term==finger;
-        // ResidueOf(-1)=M-1 so term==(-finger) mod M. Only wider deltas
-        // pay MulMod61.
-        for (size_t i = 0; i < chunk; ++i) {
-          words[i] = GeometricLevel(words[i], p.levels);
-          const int64_t d = cdeltas[i];
-          if (d != 1) {
-            fingers[i] = d == -1 ? SubMod61(0, fingers[i])
-                                 : MulMod61(residues[i], fingers[i]);
-          }
-        }
-        for (size_t i = 0; i < chunk; ++i) {
-          acc[words[i]].ApplyTerm(cids[i], cdeltas[i], fingers[i]);
-        }
-        for (uint32_t l = per_rep - 1; l > 0; --l) acc[l - 1].Merge(acc[l]);
-        for (uint32_t l = 0; l < per_rep; ++l) rep_cells[l].Merge(acc[l]);
-      } else {
-        for (size_t i = 0; i < chunk; ++i) {
-          const uint32_t z = GeometricLevel(words[i], p.levels);
-          const uint64_t term = MulMod61(residues[i], fingers[i]);
-          for (uint32_t l = 0; l <= z; ++l) {
-            rep_cells[l].ApplyTerm(cids[i], cdeltas[i], term);
-          }
+      // Suffix-sum scatter: an update surviving to level z contributes
+      // the SAME (delta, id*delta, term) to every level 0..z, so add it
+      // once at level z and fold acc[l] += acc[l+1] top-down — one
+      // accumulator touch per update instead of z+1 cell read-modify-
+      // writes (avg 2 per update at geometric z). Identical arithmetic,
+      // identical bytes; the accumulators live on the stack in L1.
+      OneSparseCell acc[kMaxAccLevels];
+      for (uint32_t l = 0; l < per_rep; ++l) acc[l] = OneSparseCell{};
+      // Finalize levels and terms in place first (branch-free, high
+      // ILP), so the accumulate loop below is nothing but the dependent
+      // read-modify-writes. ±1 deltas dominate real streams, and their
+      // Mersenne products collapse: ResidueOf(1)=1 so term==finger;
+      // ResidueOf(-1)=M-1 so term==(-finger) mod M. Only wider deltas
+      // pay MulMod61.
+      for (size_t i = 0; i < chunk; ++i) {
+        words[i] = GeometricLevel(words[i], p.levels);
+        const int64_t d = cdeltas[i];
+        if (d != 1) {
+          fingers[i] = d == -1 ? SubMod61(0, fingers[i])
+                               : MulMod61(residues[i], fingers[i]);
         }
       }
+      for (size_t i = 0; i < chunk; ++i) {
+        acc[words[i]].ApplyTerm(cids[i], cdeltas[i], fingers[i]);
+      }
+      for (uint32_t l = per_rep - 1; l > 0; --l) acc[l - 1].Merge(acc[l]);
+      for (uint32_t l = 0; l < per_rep; ++l) rep_cells[l].Merge(acc[l]);
     }
   }
 }

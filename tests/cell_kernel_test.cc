@@ -1,11 +1,13 @@
 // CPU-dispatch parity for the batched hash kernels (src/sketch/cell_kernels).
 //
-// Three-way agreement, for every batch length across the vector-width
-// boundaries: the DISPATCHED backend (avx2 on capable hosts, scalar
-// elsewhere) == the scalar reference == the direct one-at-a-time formulas
-// the rest of the library uses (SplitMix64 / OneSparseCell::FingerOf).
-// This doubles as the CI vectorization check: BackendMatchesCpu fails if a
-// host that reports AVX2 silently fell back to scalar.
+// Agreement, for every batch length across the vector-width boundaries:
+// EVERY backend this CPU runs (avx512, avx2, scalar — not only the
+// dispatched one, so the avx2 path stays tested on AVX-512 hosts) and the
+// dispatched entry points == the scalar reference == the direct
+// one-at-a-time formulas the rest of the library uses (SplitMix64 /
+// OneSparseCell::FingerOf). This doubles as the CI vectorization check:
+// BackendMatchesCpu fails if a host that reports AVX-512 or AVX2 silently
+// fell back to a narrower backend.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,40 +40,53 @@ std::vector<uint64_t> TestIds(size_t count, uint64_t seed) {
   return ids;
 }
 
-// Lengths straddling the 4-lane AVX2 width and the kChunk=256 tile used by
-// the cell cores, plus 0 and 1.
-const size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 255, 256, 257};
+// Lengths straddling the 4-lane AVX2 and 8-lane AVX-512 widths and the
+// kChunk=256 tile used by the cell cores, plus 0 and 1.
+const size_t kLengths[] = {0,  1,  2,  3,  4,   5,   7,  8,
+                           9,  15, 16, 17, 31, 255, 256, 257};
 
-TEST(CellKernels, DispatchedMatchesScalarAndDirectFormula) {
-  for (uint64_t base : {uint64_t{0}, uint64_t{0x243f6a8885a308d3ULL},
-                        Mix64(/*seed=*/9, 0xf17eu), ~uint64_t{0} - 2}) {
-    for (size_t count : kLengths) {
-      SCOPED_TRACE("base=" + std::to_string(base) +
-                   " count=" + std::to_string(count));
-      std::vector<uint64_t> ids = TestIds(count, base ^ count);
-      std::vector<uint64_t> dispatched(count + 1, 0xabababababababABULL);
-      std::vector<uint64_t> scalar(count + 1, 0xabababababababABULL);
+// The backends under test: every compiled one this CPU runs, plus the
+// dispatched entry points themselves.
+std::vector<CellKernelTable> BackendsUnderTest() {
+  std::vector<CellKernelTable> backends = SupportedCellKernels();
+  backends.push_back({"dispatched", &SplitMix64Batch, &FingerBatch});
+  return backends;
+}
 
-      SplitMix64Batch(base, ids.data(), count, dispatched.data());
-      SplitMix64BatchScalar(base, ids.data(), count, scalar.data());
-      for (size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(dispatched[i], scalar[i]) << "i=" << i;
-        ASSERT_EQ(dispatched[i], SplitMix64(base + ids[i])) << "i=" << i;
+TEST(CellKernels, EveryBackendMatchesScalarAndDirectFormula) {
+  constexpr uint64_t kCanary = 0xabababababababABULL;
+  for (const CellKernelTable& backend : BackendsUnderTest()) {
+    for (uint64_t base : {uint64_t{0}, uint64_t{0x243f6a8885a308d3ULL},
+                          Mix64(/*seed=*/9, 0xf17eu), ~uint64_t{0} - 2}) {
+      for (size_t count : kLengths) {
+        SCOPED_TRACE(std::string("backend=") + backend.name + " base=" +
+                     std::to_string(base) + " count=" +
+                     std::to_string(count));
+        std::vector<uint64_t> ids = TestIds(count, base ^ count);
+        std::vector<uint64_t> got(count + 1, kCanary);
+        std::vector<uint64_t> scalar(count + 1, kCanary);
+
+        backend.splitmix(base, ids.data(), count, got.data());
+        SplitMix64BatchScalar(base, ids.data(), count, scalar.data());
+        for (size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(got[i], scalar[i]) << "i=" << i;
+          ASSERT_EQ(got[i], SplitMix64(base + ids[i])) << "i=" << i;
+        }
+        // No backend may write past count.
+        EXPECT_EQ(got[count], kCanary);
+        EXPECT_EQ(scalar[count], kCanary);
+
+        backend.finger(base, ids.data(), count, got.data());
+        FingerBatchScalar(base, ids.data(), count, scalar.data());
+        for (size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(got[i], scalar[i]) << "i=" << i;
+          ASSERT_EQ(got[i], SplitMix64(base + ids[i]) % kMersenne61)
+              << "i=" << i;
+          ASSERT_LT(got[i], kMersenne61);
+        }
+        EXPECT_EQ(got[count], kCanary);
+        EXPECT_EQ(scalar[count], kCanary);
       }
-      // Neither backend may write past count.
-      EXPECT_EQ(dispatched[count], 0xabababababababABULL);
-      EXPECT_EQ(scalar[count], 0xabababababababABULL);
-
-      FingerBatch(base, ids.data(), count, dispatched.data());
-      FingerBatchScalar(base, ids.data(), count, scalar.data());
-      for (size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(dispatched[i], scalar[i]) << "i=" << i;
-        ASSERT_EQ(dispatched[i], SplitMix64(base + ids[i]) % kMersenne61)
-            << "i=" << i;
-        ASSERT_LT(dispatched[i], kMersenne61);
-      }
-      EXPECT_EQ(dispatched[count], 0xabababababababABULL);
-      EXPECT_EQ(scalar[count], 0xabababababababABULL);
     }
   }
 }
@@ -90,12 +105,16 @@ TEST(CellKernels, FingerBatchMatchesOneSparseFingerOf) {
 }
 
 // The dispatcher must pick the widest backend the CPU supports — a host
-// that reports AVX2 but runs "scalar" means the vector path got dropped
-// from the build (this is the CI regression tripwire for vectorization).
+// that reports AVX-512 or AVX2 but runs a narrower backend means a vector
+// path got dropped from the build (this is the CI regression tripwire for
+// vectorization).
 TEST(CellKernels, BackendMatchesCpu) {
   const std::string backend = CellKernelBackend();
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx2")) {
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512dq")) {
+    EXPECT_EQ(backend, "avx512");
+  } else if (__builtin_cpu_supports("avx2")) {
     EXPECT_EQ(backend, "avx2");
   } else {
     EXPECT_EQ(backend, "scalar");
@@ -103,6 +122,7 @@ TEST(CellKernels, BackendMatchesCpu) {
 #else
   EXPECT_EQ(backend, "scalar");
 #endif
+  EXPECT_EQ(backend, SupportedCellKernels().front().name);
 }
 
 }  // namespace

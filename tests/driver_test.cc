@@ -430,9 +430,9 @@ TEST(SketchDriver, ZeroUpdateStreamIsWellDefined) {
 
 TEST(SketchDriver, BackpressureWithSingleSlotQueuesKeepsParity) {
   // max_pending_batches=1 bounds the shared queue at one batch per worker,
-  // so the producer blocks whenever the workers fall behind — the
-  // tightest legal flow-control setting. Parity must survive the constant
-  // producer/worker handoff.
+  // so the producer applies a flush itself whenever the workers fall
+  // behind — the tightest legal flow-control setting. Parity must survive
+  // the constant producer/worker interleaving.
   constexpr NodeId kN = 48;
   constexpr uint64_t kSeed = 53;
   DynamicGraphStream s = TestStream(kN, 0.15, 41);

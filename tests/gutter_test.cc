@@ -139,10 +139,15 @@ TEST(GutterParity, EveryRegisteredFamilyAtSeveralGutterSizes) {
 //
 // Mimics the gutter-flush shape of SubgraphSketch exactly: min-endpoint
 // semantics, no ApplyBatch override (the driver falls back to the
-// per-update UpdateEndpoint loop, like LinearSketch's default).
+// per-update UpdateEndpoint loop, like LinearSketch's default), and — as
+// triangles does — not endpoint-sharded: every endpoint's half writes the
+// one shared map, so the pipeline must serialize the worker's and the
+// producer's applies.
 struct MinEndpointRecorder {
   std::map<std::pair<NodeId, NodeId>, int64_t> applied;
   uint64_t noop_halves = 0;
+
+  bool EndpointSharded() const { return false; }
 
   void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v, int64_t delta) {
     if (endpoint == (u < v ? u : v)) {

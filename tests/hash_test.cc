@@ -11,6 +11,7 @@
 #include "src/hash/random.h"
 #include "src/hash/splitmix.h"
 #include "src/hash/tabulation_hash.h"
+#include "tests/reference_layout.h"
 
 namespace gsketch {
 namespace {
@@ -43,6 +44,37 @@ TEST(SplitMix, GeometricLevelCountsTrailingZeros) {
   EXPECT_EQ(GeometricLevel(0b1, 10), 0u);
   EXPECT_EQ(GeometricLevel(0b100, 10), 2u);
   EXPECT_EQ(GeometricLevel(0, 10), 10u);  // capped
+}
+
+// Against the coin-at-a-time definition it replaced
+// (reference::LevelOf), for every cap the sketches can use (0..63), the
+// cap ≥ 64 branch, and the words where a capped trailing-zero count can
+// go wrong: zero, the extreme bits, random words, and the powers of two
+// around the cap.
+TEST(SplitMix, GeometricLevelMatchesBitAtATimeReference) {
+  std::vector<uint64_t> common = {0, 1, uint64_t{1} << 63, ~uint64_t{0}};
+  uint64_t x = 0;
+  for (int i = 0; i < 256; ++i) common.push_back(SplitMix64(x++));
+  std::vector<uint32_t> caps;
+  for (uint32_t cap = 0; cap <= 64; ++cap) caps.push_back(cap);
+  caps.push_back(65);
+  caps.push_back(100);
+  for (uint32_t cap : caps) {
+    std::vector<uint64_t> words = common;
+    if (cap < 64) {
+      words.push_back((uint64_t{1} << cap) - 1);
+      words.push_back(uint64_t{1} << cap);
+    }
+    if (cap + 1 < 64) words.push_back(uint64_t{1} << (cap + 1));
+    for (uint64_t word : words) {
+      ASSERT_EQ(GeometricLevel(word, cap), reference::LevelOf(word, cap))
+          << "word=" << word << " cap=" << cap;
+    }
+  }
+  static_assert(GeometricLevel(0, 7) == 7 && GeometricLevel(8, 7) == 3 &&
+                    GeometricLevel(0, 64) == 64 &&
+                    GeometricLevel(uint64_t{1} << 63, 100) == 63,
+                "GeometricLevel must stay usable in constant expressions");
 }
 
 TEST(SplitMix, DeriveSeedSeparatesRoles) {

@@ -208,7 +208,9 @@ TEST_P(SubgraphProperty, DistributionIsCalibrated) {
     EXPECT_GT(census.counts.count(code), 0u) << "phantom pattern " << code;
     total += mass;
   }
-  if (!dist.empty()) EXPECT_NEAR(total, 1.0, 1e-9);
+  if (!dist.empty()) {
+    EXPECT_NEAR(total, 1.0, 1e-9);
+  }
   for (const auto& pat : Order3Patterns()) {
     double truth = census.Gamma(pat.canonical_code);
     auto est = sk.EstimateGamma(pat.canonical_code);

@@ -28,6 +28,19 @@
 
 namespace gsketch::reference {
 
+/// The historical ℓ₀ level formula, one fair coin (bit) at a time: the
+/// number of trailing zero bits of `word`, capped at `cap`. Kept here so
+/// the parity tier checks src/'s branch-free GeometricLevel against it
+/// rather than against itself.
+inline uint32_t LevelOf(uint64_t word, uint32_t cap) {
+  uint32_t lvl = 0;
+  while (lvl < cap && (word & 1) == 0) {
+    word >>= 1;
+    ++lvl;
+  }
+  return lvl;
+}
+
 /// The historical per-node ℓ₀-sampler: owns a cell vector per instance.
 class RefL0Sampler {
  public:
@@ -43,7 +56,7 @@ class RefL0Sampler {
     assert(index < domain_);
     for (uint32_t r = 0; r < reps_; ++r) {
       uint64_t rep_seed = DeriveSeed(seed_, r);
-      uint32_t z = GeometricLevel(Mix64(rep_seed, 0x5e7eu, index), levels_);
+      uint32_t z = LevelOf(Mix64(rep_seed, 0x5e7eu, index), levels_);
       uint64_t finger = OneSparseCell::FingerOf(rep_seed, index);
       for (uint32_t l = 0; l <= z; ++l) {
         cells_[CellAt(r, l)].Update(index, delta, finger);

@@ -10,12 +10,15 @@
 // real work; larger gutters exercise coalescing and dense batches.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/sketch_registry.h"
+#include "src/core/sync.h"
 #include "src/driver/sketch_driver.h"
 #include "src/graph/generators.h"
 #include "src/graph/stream.h"
@@ -78,7 +81,8 @@ TEST(SharedQueueParity, EveryRegisteredFamilyThreadsAndGutterSizes) {
 // Every token joins hub 0 to a node ≡ 0 (mod workers), so routing halves
 // by endpoint % workers would pin the whole stream to worker 0. The
 // shared queue must spread it: every worker applies work, and no worker
-// applies everything.
+// applies everything. The producer applies the flushes that find the
+// queue full, so workers and producer together apply every half.
 TEST(SharedQueue, HotSpotStreamReachesEveryWorker) {
   constexpr NodeId n = 64;
   constexpr uint32_t kWorkers = 3;
@@ -106,7 +110,7 @@ TEST(SharedQueue, HotSpotStreamReachesEveryWorker) {
     SketchDriver<LinearSketch> driver(sk.get(), opt);
     driver.ProcessStream(s);
     ASSERT_EQ(driver.num_workers(), kWorkers);
-    uint64_t total = 0;
+    uint64_t total = driver.ProducerAppliedHalves();
     for (uint32_t w = 0; w < kWorkers; ++w) {
       per_worker[w] = driver.WorkerAppliedHalves(w);
       total += per_worker[w];
@@ -143,7 +147,7 @@ TEST(SharedQueueDrain, DrainUnderGutterFlushInterleaving) {
   DriverOptions opt;
   opt.num_workers = 3;
   opt.gutter_bytes = 256;       // tiny gutters: flush storms mid-push
-  opt.max_pending_batches = 2;  // tight queue: producer blocks often
+  opt.max_pending_batches = 2;  // tight queue: producer applies often
   SketchDriver<LinearSketch> driver(sk.get(), opt);
   uint64_t pushed = 0;
   for (const auto& e : s.Updates()) {
@@ -155,6 +159,110 @@ TEST(SharedQueueDrain, DrainUnderGutterFlushInterleaving) {
   }
   driver.Drain();
   EXPECT_EQ(driver.TotalUpdates(), 2 * s.Size());
+}
+
+// ------------------------------------------------- caller-runs --
+
+// Holds every apply made off the constructing thread — the pool's
+// worker — until Open() or a deadline, and records which came first. The
+// deadline turns a producer that waits for the worker into a failure
+// instead of a hang.
+class LatchedSink : public IngestSink {
+ public:
+  explicit LatchedSink(LinearSketch* sk)
+      : inner_(sk), producer_(std::this_thread::get_id()) {}
+
+  void ApplyNode(const NodeBatch& batch) override {
+    if (std::this_thread::get_id() != producer_) Hold();
+    inner_.ApplyNode(batch);
+  }
+
+  // True once the worker is parked in Hold (false if `deadline` passes).
+  bool WaitHeld(std::chrono::steady_clock::time_point deadline) {
+    MutexLock lock(mu_);
+    while (!held_ && cv_.WaitUntil(mu_, deadline)) {
+    }
+    return held_;
+  }
+
+  void Open() {
+    MutexLock lock(mu_);
+    open_ = true;
+    cv_.NotifyAll();
+  }
+
+  bool timed_out() {
+    MutexLock lock(mu_);
+    return timed_out_;
+  }
+
+ private:
+  // An expired latch stays open, so one deadline bounds the whole run.
+  void Hold() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    MutexLock lock(mu_);
+    held_ = true;
+    cv_.NotifyAll();
+    while (!open_ && !timed_out_) {
+      if (!cv_.WaitUntil(mu_, deadline)) timed_out_ = true;
+    }
+  }
+
+  AlgIngestSink<LinearSketch> inner_;
+  const std::thread::id producer_;
+  Mutex mu_;
+  CondVar cv_;
+  bool held_ GSKETCH_GUARDED_BY(mu_) = false;
+  bool open_ GSKETCH_GUARDED_BY(mu_) = false;
+  bool timed_out_ GSKETCH_GUARDED_BY(mu_) = false;
+};
+
+// One worker held on its first batch and a one-batch queue: every later
+// flush finds the queue full. The producer must apply those itself and
+// return from its pushes while the worker is still held; a producer that
+// waited for a queue slot would stall until the latch's deadline.
+TEST(SharedQueueCallerRuns, FullQueueFlushesApplyOnTheProducer) {
+  // Node 0 appears only in the first token, so the worker's held batch
+  // (endpoint 0) owns a stripe no later batch needs (one-entry gutters:
+  // every half is its own batch; n < 64 stripes, one session).
+  DynamicGraphStream s(kN);
+  s.Push(0, 1, +1);
+  for (NodeId i = 0; i < 90; ++i) {
+    const NodeId u = 1 + i % (kN - 1);
+    const NodeId v = 1 + (i * 7 + 3) % (kN - 1);
+    if (u != v) s.Push(u, v, i % 5 == 4 ? -1 : +1);
+  }
+  auto sequential = FindAlg("connectivity")->make(kN, AlgOptions{}, kSeed);
+  s.Replay([&](NodeId u, NodeId v, int64_t d) {
+    sequential->Update(u, v, d);
+  });
+
+  auto sk = FindAlg("connectivity")->make(kN, AlgOptions{}, kSeed);
+  LatchedSink sink(sk.get());
+  PipelineOptions popt;
+  popt.num_workers = 1;
+  popt.max_pending_batches = 1;
+  IngestPipeline pipeline(popt);
+  ChannelOptions copt;
+  copt.gutter_bytes = 12;
+  const IngestPipeline::SessionId sid = pipeline.Attach(&sink, copt);
+  for (const auto& e : s.Updates()) pipeline.Push(sid, e.u, e.v, e.delta);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  ASSERT_TRUE(sink.WaitHeld(deadline)) << "the worker never took a batch";
+  EXPECT_FALSE(sink.timed_out())
+      << "the pushes returned only after the worker's latch expired";
+  EXPECT_GT(pipeline.ProducerAppliedHalves(), 0u);
+  EXPECT_EQ(pipeline.WorkerAppliedHalves(0), 0u);  // still held
+  sink.Open();
+  pipeline.Drain(sid);
+  EXPECT_EQ(pipeline.AppliedHalves(sid), 2 * s.Size());
+  EXPECT_EQ(pipeline.ProducerAppliedHalves() +
+                pipeline.WorkerAppliedHalves(0),
+            2 * s.Size());
+  EXPECT_EQ(Bytes(*sk), Bytes(*sequential));
 }
 
 // ------------------------------------------------- resolved workers --

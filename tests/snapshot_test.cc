@@ -240,7 +240,7 @@ TEST(SnapshotParity, EagerCutHandsOverToSketchAfterFirstDeletion) {
   auto snap = PublishSnapshot(&driver, &store);
   ASSERT_NE(snap->eager, nullptr);
   const AlgTag tag = snap->sketch->Tag();
-  for (const std::string& q :
+  for (const char* q :
        {"components", "connected 0 7", "connected 0 10", "connected 10 11"}) {
     auto eager = EagerAnswer(*snap->eager, tag, q);
     ASSERT_TRUE(eager.has_value()) << q;

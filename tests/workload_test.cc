@@ -200,7 +200,9 @@ TEST(WorkloadProfileShape, ChurnCancelsWholeMultiplicitiesToZero) {
     int64_t& m = mult[{a, b}];
     m += e.delta;
     if (e.delta < -1) wide_delete = true;
-    if (e.delta < 0) EXPECT_EQ(m, 0) << "delete did not cancel to zero";
+    if (e.delta < 0) {
+      EXPECT_EQ(m, 0) << "delete did not cancel to zero";
+    }
   }
   EXPECT_TRUE(wide_delete) << "no multi-copy (|delta|>1) deletion occurred";
 }
