@@ -73,6 +73,12 @@ std::optional<NodeL0Bank> NodeL0Bank::Deserialize(ByteReader* r) {
     if (u == 0) {
       bank.params_ = p;
       bank.stride_ = p.CellsPerSampler();
+      // Every node's cells must follow: bound n by what remains before
+      // the arena is sized for it (stride >= 1, so the divisor is
+      // nonzero).
+      const size_t max_nodes =
+          r->remaining() / (bank.stride_ * sizeof(OneSparseCell));
+      if (bank.n_ > max_nodes) return std::nullopt;
       bank.arena_ = CowCellArena(static_cast<size_t>(bank.n_), bank.stride_);
     } else if (p != bank.params_) {
       return std::nullopt;

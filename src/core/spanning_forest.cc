@@ -130,6 +130,13 @@ std::optional<SpanningForestSketch> SpanningForestSketch::Deserialize(
   auto n = r->U32();
   auto rounds = r->U32();
   if (!n || !rounds) return std::nullopt;
+  // Each round's bank holds at least its node count and, per node, one
+  // sampler header (magic, domain, repetitions, seed) and one cell: bound
+  // `rounds` by that before reserving.
+  constexpr uint64_t kSamplerHeaderBytes = 4 + 8 + 4 + 8;
+  const uint64_t min_bank_bytes =
+      4 + uint64_t{*n} * (kSamplerHeaderBytes + sizeof(OneSparseCell));
+  if (*rounds > r->remaining() / min_bank_bytes) return std::nullopt;
   SpanningForestSketch sk;
   sk.n_ = *n;
   sk.banks_.reserve(*rounds);

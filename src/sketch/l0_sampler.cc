@@ -64,60 +64,23 @@ void L0CellsUpdateTwo(const L0Params& p, OneSparseCell* cells_a,
 void L0CellsUpdateBatch(const L0Params& p, OneSparseCell* cells,
                         const uint64_t* ids, const int64_t* deltas,
                         size_t count) {
-  // Split hashing from accumulation: per chunk, residues are reduced once
-  // (shared by every repetition) and each repetition's level words and
-  // fingerprints are produced by the batched kernels over hoisted Mix64
-  // bases — Mix64(s, tag, id) == SplitMix64(Mix64(s, tag) + id). Only the
-  // cell scatter remains scalar. Chunk buffers (3 × 2 KiB) stay in L1.
-  constexpr size_t kChunk = 256;
-  // Params come only from L0Params::Make (deserialization included), whose
-  // LevelsFor caps levels at 63, so per_rep <= 64.
-  constexpr uint32_t kMaxAccLevels = 64;
+  // Per chunk, each repetition is one call of the dispatched backend's
+  // fused l0_rep kernel over hoisted Mix64 bases — Mix64(s, tag, id) ==
+  // SplitMix64(Mix64(s, tag) + id) — so a repetition's seed is derived
+  // once per chunk, and the chunk's ids and deltas stay in L1 across the
+  // repetitions.
+  constexpr size_t kChunk = CellKernelTable::kL0RepMaxIds;
+  const CellKernelTable::L0RepFn l0_rep = Kernels().l0_rep;
   const uint32_t per_rep = p.levels + 1;
-  assert(per_rep <= kMaxAccLevels);
-  uint64_t residues[kChunk];
-  uint64_t words[kChunk];
-  uint64_t fingers[kChunk];
   for (size_t start = 0; start < count; start += kChunk) {
     const size_t chunk = std::min(kChunk, count - start);
     const uint64_t* cids = ids + start;
-    const int64_t* cdeltas = deltas + start;
-    for (size_t i = 0; i < chunk; ++i) {
-      assert(cids[i] < p.domain);
-      residues[i] = OneSparseCell::ResidueOf(cdeltas[i]);
-    }
+    for (size_t i = 0; i < chunk; ++i) assert(cids[i] < p.domain);
     for (uint32_t r = 0; r < p.repetitions; ++r) {
       const uint64_t rep_seed = DeriveSeed(p.seed, r);
-      SplitMix64Batch(Mix64(rep_seed, 0x5e7eu), cids, chunk, words);
-      FingerBatch(Mix64(rep_seed, 0xf17eu), cids, chunk, fingers);
-      OneSparseCell* rep_cells = cells + static_cast<size_t>(r) * per_rep;
-      // Suffix-sum scatter: an update surviving to level z contributes
-      // the SAME (delta, id*delta, term) to every level 0..z, so add it
-      // once at level z and fold acc[l] += acc[l+1] top-down — one
-      // accumulator touch per update instead of z+1 cell read-modify-
-      // writes (avg 2 per update at geometric z). Identical arithmetic,
-      // identical bytes; the accumulators live on the stack in L1.
-      OneSparseCell acc[kMaxAccLevels];
-      for (uint32_t l = 0; l < per_rep; ++l) acc[l] = OneSparseCell{};
-      // Finalize levels and terms in place first (branch-free, high
-      // ILP), so the accumulate loop below is nothing but the dependent
-      // read-modify-writes. ±1 deltas dominate real streams, and their
-      // Mersenne products collapse: ResidueOf(1)=1 so term==finger;
-      // ResidueOf(-1)=M-1 so term==(-finger) mod M. Only wider deltas
-      // pay MulMod61.
-      for (size_t i = 0; i < chunk; ++i) {
-        words[i] = GeometricLevel(words[i], p.levels);
-        const int64_t d = cdeltas[i];
-        if (d != 1) {
-          fingers[i] = d == -1 ? SubMod61(0, fingers[i])
-                               : MulMod61(residues[i], fingers[i]);
-        }
-      }
-      for (size_t i = 0; i < chunk; ++i) {
-        acc[words[i]].ApplyTerm(cids[i], cdeltas[i], fingers[i]);
-      }
-      for (uint32_t l = per_rep - 1; l > 0; --l) acc[l - 1].Merge(acc[l]);
-      for (uint32_t l = 0; l < per_rep; ++l) rep_cells[l].Merge(acc[l]);
+      l0_rep(Mix64(rep_seed, 0x5e7eu), Mix64(rep_seed, 0xf17eu), p.levels,
+             cids, deltas + start, chunk,
+             cells + static_cast<size_t>(r) * per_rep);
     }
   }
 }
@@ -166,7 +129,9 @@ bool L0ParseHeader(ByteReader* r, L0Params* p) {
   auto seed = r->U64();
   if (!domain || !reps || !seed || *domain == 0 || *reps == 0) return false;
   *p = L0Params::Make(*domain, *reps, *seed);
-  return true;
+  // The cells must follow: reject a count the input cannot hold before
+  // any caller sizes storage for it.
+  return p->CellsPerSampler() <= r->remaining() / sizeof(OneSparseCell);
 }
 
 L0Sampler::L0Sampler(uint64_t domain, uint32_t repetitions, uint64_t seed)

@@ -75,11 +75,14 @@ void L0CellsUpdateTwo(const L0Params& p, OneSparseCell* cells_a,
                       int64_t delta_b);
 
 /// Applies x[ids[i]] += deltas[i] for i in [0, count) to ONE sampler's
-/// cells — the gutter-flush fast path. Iterates repetition-major so each
-/// repetition's seed is derived once per batch (not once per update) and
-/// the repetition's level cells stay hot while the batch streams through
-/// them. Cell updates are commutative sums, so the resulting cells are
-/// bit-identical to `count` L0CellsUpdate calls in stream order.
+/// cells — the gutter-flush fast path. Per chunk of up to 256 updates,
+/// each repetition is one call of the dispatched backend's fused `l0_rep`
+/// kernel (src/sketch/cell_kernels.h): the repetition's seed is derived
+/// once per chunk, not once per update, and on AVX-512 hosts levels 0
+/// and 1 are summed in registers while only the ~1/4 of updates that
+/// reach level 2 are scattered. Cell updates are commutative sums, so the
+/// resulting cells are bit-identical to `count` L0CellsUpdate calls in
+/// stream order.
 void L0CellsUpdateBatch(const L0Params& p, OneSparseCell* cells,
                         const uint64_t* ids, const int64_t* deltas,
                         size_t count);
@@ -97,7 +100,9 @@ void L0CellsAppendTo(const L0Params& p, const OneSparseCell* cells,
                      std::string* out);
 
 /// Parses a sampler wire record header into `*p` (levels derived from the
-/// domain); the caller then reads p->CellsPerSampler() cells.
+/// domain); the caller then reads p->CellsPerSampler() cells. False if
+/// the bytes left in `r` cannot hold that many cells, so no caller sizes
+/// storage for a count the input does not back.
 bool L0ParseHeader(ByteReader* r, L0Params* p);
 
 /// Linear ℓ₀-sampling sketch over a vector x ∈ Z^domain, owning its cells.

@@ -66,11 +66,18 @@ class OneSparseCell {
     print_ = AddMod61(print_, term);
   }
 
+  /// Adds raw measurement sums — Σ delta, Σ index·delta and Σ term
+  /// (reduced mod 2^61 - 1) over some updates — in one step. Vector cores
+  /// that sum a level's updates outside the cell add them with one call.
+  void AddSums(int64_t count, int64_t index_weight, uint64_t print) {
+    count_ += count;
+    index_weight_ += index_weight;
+    print_ = AddMod61(print_, print);
+  }
+
   /// Adds another cell with the same owner seed (linearity).
   void Merge(const OneSparseCell& other) {
-    count_ += other.count_;
-    index_weight_ += other.index_weight_;
-    print_ = AddMod61(print_, other.print_);
+    AddSums(other.count_, other.index_weight_, other.print_);
   }
 
   /// Subtracts another cell with the same owner seed.

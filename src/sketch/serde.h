@@ -105,6 +105,10 @@ class ByteReader {
 
   size_t position() const { return pos_; }
 
+  /// Bytes not yet read (0 once poisoned). Parsers bound a count read
+  /// from the wire by it before they allocate for that count.
+  size_t remaining() const { return failed_ ? 0 : size_ - pos_; }
+
  private:
   const char* data_;
   size_t size_;

@@ -62,8 +62,9 @@ void RecoveryCellsUpdateTwo(const RecoveryParams& p, OneSparseCell* cells_a,
 void RecoveryCellsUpdateBatch(const RecoveryParams& p, OneSparseCell* cells,
                               const uint64_t* ids, const int64_t* deltas,
                               size_t count) {
-  // Same hash/accumulate split as L0CellsUpdateBatch: residues once per
-  // chunk, per-row bucket words and fingerprints from the batched kernels
+  // Hashing split from accumulation, as in the scalar and avx2 ℓ₀
+  // kernels (cell_kernels.cc): residues once per chunk, then per-row
+  // bucket words and fingerprints from the batched kernels
   // over hoisted bases (Mix64(hash_seed, id) == SplitMix64(Mix64Base(
   // hash_seed) + id)); only the bucket scatter stays scalar.
   constexpr size_t kChunk = 256;

@@ -2,6 +2,7 @@
 // deserialized sketches, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "src/core/node_sketch.h"
@@ -93,6 +94,49 @@ TEST(Serde, L0SamplerRejectsTruncated) {
   buf.resize(buf.size() / 2);
   ByteReader r(buf);
   EXPECT_FALSE(L0Sampler::Deserialize(&r).has_value());
+}
+
+// Hostile headers: a count the remaining bytes cannot back is rejected
+// before anything is sized for it, not met with std::bad_alloc (which
+// the CLI's resume and merge do not catch).
+TEST(Serde, L0SamplerRejectsRepetitionsPastInput) {
+  std::string buf;
+  ByteWriter w(&buf);
+  w.U32(0x4c30534bu);  // "L0SK"
+  w.U64(1024);         // domain
+  w.U32(0xffffffffu);  // repetitions
+  w.U64(9);            // seed
+  ASSERT_EQ(buf.size(), 24u);
+  ByteReader r(buf);
+  std::optional<L0Sampler> s;
+  EXPECT_NO_THROW(s = L0Sampler::Deserialize(&r));
+  EXPECT_FALSE(s.has_value());
+}
+
+TEST(Serde, SpanningForestRejectsRoundsPastInput) {
+  std::string buf;
+  ByteWriter w(&buf);
+  w.U32(0x53464b53u);  // "SFKS"
+  w.U32(8);            // n
+  w.U32(0xffffffffu);  // rounds
+  ASSERT_EQ(buf.size(), 12u);
+  ByteReader r(buf);
+  std::optional<SpanningForestSketch> f;
+  EXPECT_NO_THROW(f = SpanningForestSketch::Deserialize(&r));
+  EXPECT_FALSE(f.has_value());
+}
+
+TEST(Serde, NodeBankRejectsNodeCountPastInput) {
+  // A node count of 2^32 - 1 followed by one well-formed sampler record:
+  // the arena for that count would be hundreds of GB.
+  std::string buf;
+  ByteWriter w(&buf);
+  w.U32(0xffffffffu);
+  L0Sampler(6, 3, 5).AppendTo(&buf);
+  ByteReader r(buf);
+  std::optional<NodeL0Bank> bank;
+  EXPECT_NO_THROW(bank = NodeL0Bank::Deserialize(&r));
+  EXPECT_FALSE(bank.has_value());
 }
 
 TEST(Serde, SparseRecoveryRoundTrip) {
