@@ -194,6 +194,12 @@ std::optional<ApproxMstSketch> ApproxMstSketch::Deserialize(ByteReader* r) {
   auto n = r->U32();
   auto count = r->U32();
   if (!n || !count || *count == 0) return std::nullopt;
+  // Each threshold is an i64 with a forest after it: bound the count by
+  // the bytes left before reserving.
+  if (*count > r->remaining() / (sizeof(int64_t) +
+                                 SpanningForestSketch::kMinWireBytes)) {
+    return std::nullopt;
+  }
   std::vector<int64_t> thresholds;
   thresholds.reserve(*count);
   for (uint32_t i = 0; i < *count; ++i) {

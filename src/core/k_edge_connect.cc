@@ -83,6 +83,10 @@ std::optional<KEdgeConnectSketch> KEdgeConnectSketch::Deserialize(
   auto n = r->U32();
   auto k = r->U32();
   if (!n || !k || *k == 0) return std::nullopt;
+  // Bound k by the layers the bytes left can hold before reserving.
+  if (*k > r->remaining() / SpanningForestSketch::kMinWireBytes) {
+    return std::nullopt;
+  }
   KEdgeConnectSketch sk;
   sk.n_ = *n;
   sk.layers_.reserve(*k);

@@ -60,6 +60,10 @@ class KEdgeConnectSketch {
   /// Parses a sketch back; nullopt on malformed input.
   static std::optional<KEdgeConnectSketch> Deserialize(ByteReader* r);
 
+  /// The smallest wire encoding: magic, n, k = 1 and one smallest layer.
+  static constexpr uint64_t kMinWireBytes =
+      12 + SpanningForestSketch::kMinWireBytes;
+
   uint32_t k() const { return static_cast<uint32_t>(layers_.size()); }
   NodeId num_nodes() const { return n_; }
 

@@ -172,8 +172,9 @@ std::optional<SimpleSparsifier> SimpleSparsifier::Deserialize(ByteReader* r) {
   auto max_level = r->U32();
   auto seed = r->U64();
   auto num_levels = r->U32();
-  if (!n || !k || !max_level || !seed || !num_levels || *num_levels == 0) {
-    return std::nullopt;
+  if (!n || !k || !max_level || !seed || !num_levels || *num_levels == 0 ||
+      *num_levels > r->remaining() / KEdgeConnectSketch::kMinWireBytes) {
+    return std::nullopt;  // including more levels than the bytes left hold
   }
   SimpleSparsifier sk(*n, *k, SamplingLevels(*max_level, *seed));
   sk.levels_.reserve(*num_levels);

@@ -133,9 +133,8 @@ std::optional<SpanningForestSketch> SpanningForestSketch::Deserialize(
   // Each round's bank holds at least its node count and, per node, one
   // sampler header (magic, domain, repetitions, seed) and one cell: bound
   // `rounds` by that before reserving.
-  constexpr uint64_t kSamplerHeaderBytes = 4 + 8 + 4 + 8;
   const uint64_t min_bank_bytes =
-      4 + uint64_t{*n} * (kSamplerHeaderBytes + sizeof(OneSparseCell));
+      4 + uint64_t{*n} * (kL0HeaderBytes + sizeof(OneSparseCell));
   if (*rounds > r->remaining() / min_bank_bytes) return std::nullopt;
   SpanningForestSketch sk;
   sk.n_ = *n;

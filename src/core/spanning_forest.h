@@ -77,6 +77,10 @@ class SpanningForestSketch {
   /// Parses a sketch back; nullopt on malformed input.
   static std::optional<SpanningForestSketch> Deserialize(ByteReader* r);
 
+  /// The smallest wire encoding: magic, n and a round count of zero.
+  /// Containers divide the bytes left by it to bound a sketch count.
+  static constexpr uint64_t kMinWireBytes = 12;
+
   NodeId num_nodes() const { return n_; }
   uint32_t rounds() const { return static_cast<uint32_t>(banks_.size()); }
 

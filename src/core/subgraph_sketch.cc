@@ -146,8 +146,9 @@ std::optional<SubgraphSketch> SubgraphSketch::Deserialize(ByteReader* r) {
   auto order = r->U32();
   auto count = r->U32();
   if (!n || !order || !count || (*order != 3 && *order != 4) ||
-      *n < *order || *count == 0) {
-    return std::nullopt;
+      *n < *order || *count == 0 ||
+      *count > r->remaining() / kL0HeaderBytes) {
+    return std::nullopt;  // including more samplers than the bytes left hold
   }
   uint64_t columns = Binomial(*n, *order);
   std::vector<L0Sampler> samplers;

@@ -12,10 +12,8 @@
 #include "src/hash/nisan_prg.h"
 #include "src/hash/random.h"
 #include "src/hash/splitmix.h"
-#include "src/hash/tabulation_hash.h"
 
 // Linear-sketch substrate.
-#include "src/sketch/ams_sketch.h"
 #include "src/sketch/l0_sampler.h"
 #include "src/sketch/one_sparse.h"
 #include "src/sketch/serde.h"

@@ -1,13 +1,11 @@
-// Polynomial k-wise independent hash family over the Mersenne prime
-// p = 2^61 - 1. Used where the analysis needs bounded independence that a
-// mixing oracle cannot certify (e.g. pairwise-independent hashes inside
-// Nisan's generator, Sec 3.4 of the paper).
+// Arithmetic modulo the Mersenne prime p = 2^61 - 1: the fingerprint
+// field of the 1-sparse cells (one_sparse.h, cell_kernels.cc) and of the
+// pairwise-independent hashes inside Nisan's generator (Sec 3.4 of the
+// paper), which use only these helpers.
 #ifndef GRAPHSKETCH_SRC_HASH_KWISE_HASH_H_
 #define GRAPHSKETCH_SRC_HASH_KWISE_HASH_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace gsketch {
 
@@ -38,36 +36,6 @@ inline uint64_t SubMod61(uint64_t a, uint64_t b) {
   uint64_t d = a - b;
   return d + (kMersenne61 & -static_cast<uint64_t>(a < b));
 }
-
-/// Computes base^exp mod 2^61 - 1.
-uint64_t PowMod61(uint64_t base, uint64_t exp);
-
-/// Computes the modular inverse of a (a != 0) mod 2^61 - 1.
-uint64_t InvMod61(uint64_t a);
-
-/// A hash function drawn from a k-wise independent polynomial family:
-/// h(x) = (c_{k-1} x^{k-1} + ... + c_1 x + c_0) mod p.
-///
-/// For any k distinct inputs the outputs are fully independent and uniform
-/// on [0, p). Coefficients are derived deterministically from the seed.
-class KWiseHash {
- public:
-  /// Constructs a hash with independence degree `k` (k >= 1) from `seed`.
-  KWiseHash(uint64_t seed, uint32_t k);
-
-  /// Evaluates the polynomial at `x` (reduced mod p first). Result in [0,p).
-  uint64_t operator()(uint64_t x) const;
-
-  /// Returns h(x) scaled to a uniform double in [0,1).
-  double Unit(uint64_t x) const { return static_cast<double>((*this)(x)) /
-                                         static_cast<double>(kMersenne61); }
-
-  /// Independence degree of the family this function was drawn from.
-  uint32_t degree() const { return static_cast<uint32_t>(coeffs_.size()); }
-
- private:
-  std::vector<uint64_t> coeffs_;  // c_0 .. c_{k-1}
-};
 
 }  // namespace gsketch
 

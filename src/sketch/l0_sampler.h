@@ -99,6 +99,10 @@ bool L0CellsIsZero(const L0Params& p, const OneSparseCell* cells);
 void L0CellsAppendTo(const L0Params& p, const OneSparseCell* cells,
                      std::string* out);
 
+/// Bytes of a sampler wire record's header (magic, domain, repetitions,
+/// seed); its cells follow.
+inline constexpr uint64_t kL0HeaderBytes = 4 + 8 + 4 + 8;
+
 /// Parses a sampler wire record header into `*p` (levels derived from the
 /// domain); the caller then reads p->CellsPerSampler() cells. False if
 /// the bytes left in `r` cannot hold that many cells, so no caller sizes

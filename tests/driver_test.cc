@@ -273,6 +273,144 @@ TEST(BinaryStream, RejectsOutOfRangeEndpoint) {
   std::remove(path.c_str());
 }
 
+// GSKT, the tenant-tagged trace: GSKB's conventions plus a tenant count
+// at header offset 12 and a tenant column leading each 16-byte record.
+
+void PatchU32(const std::string& path, long offset, uint32_t value) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, offset, SEEK_SET);
+  unsigned char bytes[4];
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<unsigned char>(value >> (8 * i));
+  }
+  ASSERT_EQ(std::fwrite(bytes, 1, 4, f), 4u);
+  std::fclose(f);
+}
+
+// A 3-record trace at n = 4, k = 2: (0: 0-1 +1), (1: 2-3 +1), (0: 1-2 -1).
+std::string WriteSmallTrace(const char* name) {
+  std::string path = TempPath(name);
+  TaggedStreamWriter w(path, 4, 2);
+  w.Append(0, 0, 1, 1);
+  w.Append(1, 2, 3, 1);
+  w.Append(0, 1, 2, -1);
+  EXPECT_TRUE(w.Close());
+  return path;
+}
+
+TEST(TaggedStream, RoundTripSplitsWideDeltas) {
+  constexpr int64_t kWide = (int64_t{1} << 33) + 12345;  // 5 records
+  std::string path = TempPath("tagged_roundtrip.gskt");
+  {
+    TaggedStreamWriter w(path, 6, 3);
+    ASSERT_TRUE(w.ok());
+    w.Append(2, 0, 1, kWide);
+    w.Append(0, 3, 4, -1);
+    w.Append(1, 4, 5, +1);
+    EXPECT_EQ(w.updates_written(), 7u);
+    EXPECT_EQ(w.tenants(), 3u);
+    ASSERT_TRUE(w.Close());
+  }
+  TaggedStreamReader r(path, /*buffer_bytes=*/40);  // refills mid-trace
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ(r.nodes(), 6u);
+  EXPECT_EQ(r.tenants(), 3u);
+  EXPECT_EQ(r.num_updates(), 7u);
+  std::vector<TaggedUpdate> got;
+  while (!r.Done()) ASSERT_GT(r.ReadBatch(3, &got), 0u) << r.error();
+  ASSERT_EQ(got.size(), 7u);
+  int64_t wide_sum = 0;
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(got[i].tenant, 2u);
+    EXPECT_EQ(got[i].u, 0u);
+    EXPECT_EQ(got[i].v, 1u);
+    EXPECT_LE(got[i].delta, INT32_MAX);
+    wide_sum += got[i].delta;
+  }
+  EXPECT_EQ(wide_sum, kWide);
+  EXPECT_EQ(got[5].tenant, 0u);
+  EXPECT_EQ(got[5].delta, -1);
+  EXPECT_EQ(got[6].tenant, 1u);
+  EXPECT_EQ(got[6].u, 4u);
+  EXPECT_EQ(got[6].v, 5u);
+  std::remove(path.c_str());
+}
+
+TEST(TaggedStream, RejectsTruncatedTrace) {
+  std::string path = WriteSmallTrace("tagged_truncated.gskt");
+  ASSERT_EQ(truncate(path.c_str(), 24 + 16 + 5), 0);
+  TaggedStreamReader r(path);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error(),
+            "file holds 45 bytes but header declares 3 updates (72 bytes)");
+
+  // Cut after the header checks passed: a refill finds the trace short.
+  // (The trace outgrows stdio's buffer, so the cut is seen mid-trace.)
+  {
+    TaggedStreamWriter w(path, 4, 2);
+    for (uint32_t i = 0; i < 1000; ++i) w.Append(i % 2, i % 3, i % 3 + 1, 1);
+    ASSERT_TRUE(w.Close());
+  }
+  TaggedStreamReader late(path);
+  ASSERT_TRUE(late.ok()) << late.error();
+  ASSERT_EQ(truncate(path.c_str(), 24), 0);
+  std::vector<TaggedUpdate> got;
+  while (late.ReadBatch(64, &got) > 0) {
+  }
+  EXPECT_FALSE(late.ok());
+  EXPECT_EQ(late.error().rfind(
+                "truncated trace: header declares 1000 updates, file ends "
+                "after ",
+                0),
+            0u)
+      << late.error();
+  EXPECT_LT(got.size(), 1000u);
+  std::remove(path.c_str());
+}
+
+TEST(TaggedStream, RejectsHeaderCountMismatch) {
+  std::string path = WriteSmallTrace("tagged_count.gskt");
+  PatchU32(path, 16, 2);  // low word of the update count
+  TaggedStreamReader r(path);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error(),
+            "file holds 72 bytes but header declares 2 updates (56 bytes)");
+  std::remove(path.c_str());
+}
+
+TEST(TaggedStream, RejectsTenantTagPastTheHeaderCount) {
+  std::string path = WriteSmallTrace("tagged_tag.gskt");
+  PatchU32(path, 24 + 16, 5);  // second record's tenant column
+  TaggedStreamReader r(path);
+  ASSERT_TRUE(r.ok()) << r.error();
+  std::vector<TaggedUpdate> got;
+  EXPECT_EQ(r.ReadBatch(8, &got), 1u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error(),
+            "bad record at update 1: tenant 5 edge (2, 3) with k=2 n=4");
+  std::remove(path.c_str());
+}
+
+TEST(TaggedStream, RejectsZeroTenantsAndTinyGraphs) {
+  std::string path = WriteSmallTrace("tagged_header.gskt");
+  PatchU32(path, 12, 0);
+  TaggedStreamReader zero(path);
+  EXPECT_FALSE(zero.ok());
+  EXPECT_EQ(zero.error(), "header declares zero tenants");
+
+  PatchU32(path, 8, 1);
+  TaggedStreamReader tiny(path);
+  EXPECT_FALSE(tiny.ok());
+  EXPECT_EQ(tiny.error(), "header declares n < 2");
+
+  PatchU32(path, 0, kBinaryStreamMagic);
+  TaggedStreamReader wrong(path);
+  EXPECT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.error(), "bad magic (not a GSKT trace)");
+  std::remove(path.c_str());
+}
+
 TEST(SketchDriver, EndpointHalvesComposeToFullUpdate) {
   // The driver relies on UpdateEndpoint(u) + UpdateEndpoint(v)
   // producing the exact same sketch state as Update(u, v). Serialization

@@ -1,5 +1,5 @@
-// Tests for the randomness substrate: mixers, k-wise hashing, tabulation
-// hashing, Nisan's PRG, and the seeded RNG.
+// Tests for the randomness substrate: mixers, Mersenne-61 arithmetic,
+// Nisan's PRG, and the seeded RNG.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "src/hash/nisan_prg.h"
 #include "src/hash/random.h"
 #include "src/hash/splitmix.h"
-#include "src/hash/tabulation_hash.h"
 #include "tests/reference_layout.h"
 
 namespace gsketch {
@@ -87,50 +86,6 @@ TEST(Mod61, MulModAgainstNaive) {
   EXPECT_EQ(MulMod61(1, kMersenne61 - 1), kMersenne61 - 1);
   // (p-1)^2 mod p == 1.
   EXPECT_EQ(MulMod61(kMersenne61 - 1, kMersenne61 - 1), 1u);
-}
-
-TEST(Mod61, PowAndInverse) {
-  for (uint64_t a : std::vector<uint64_t>{2, 3, 12345678901ULL,
-                                          kMersenne61 - 2}) {
-    uint64_t inv = InvMod61(a);
-    EXPECT_EQ(MulMod61(a % kMersenne61, inv), 1u) << a;
-  }
-  EXPECT_EQ(PowMod61(2, 61), 1u);  // 2^61 = p + 1 ≡ 1
-}
-
-TEST(KWiseHash, DeterministicPerSeed) {
-  KWiseHash h1(42, 4), h2(42, 4), h3(43, 4);
-  EXPECT_EQ(h1(100), h2(100));
-  EXPECT_NE(h1(100), h3(100));  // overwhelmingly likely
-}
-
-TEST(KWiseHash, PairwiseCollisionRateNearUniform) {
-  // For pairwise-independent hashing into [m], collision probability of a
-  // fixed pair is ~1/m; count collisions over many pairs.
-  constexpr uint64_t kBuckets = 64;
-  int collisions = 0;
-  int trials = 0;
-  for (uint64_t seed = 0; seed < 200; ++seed) {
-    KWiseHash h(seed, 2);
-    if (h(1) % kBuckets == h(2) % kBuckets) ++collisions;
-    ++trials;
-  }
-  // Expectation ~ trials/kBuckets = 3.1; allow generous slack.
-  EXPECT_LT(collisions, 15);
-}
-
-TEST(KWiseHash, OutputInRange) {
-  KWiseHash h(9, 3);
-  for (uint64_t x = 0; x < 1000; ++x) EXPECT_LT(h(x), kMersenne61);
-}
-
-TEST(TabulationHash, DeterministicAndSpread) {
-  TabulationHash t(5);
-  EXPECT_EQ(t(123), t(123));
-  std::set<uint64_t> buckets;
-  for (uint64_t x = 0; x < 100; ++x) buckets.insert(t.Bucket(x, 16));
-  EXPECT_GE(buckets.size(), 12u);  // nearly all 16 buckets hit
-  for (uint64_t x = 0; x < 100; ++x) EXPECT_LT(t.Bucket(x, 16), 16u);
 }
 
 TEST(NisanPrg, WordAccessMatchesLevels) {

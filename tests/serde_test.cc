@@ -2,10 +2,12 @@
 // deserialized sketches, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "src/core/node_sketch.h"
+#include "src/core/sketch_registry.h"
 #include "src/core/spanning_forest.h"
 #include "src/graph/generators.h"
 #include "src/sketch/l0_sampler.h"
@@ -137,6 +139,42 @@ TEST(Serde, NodeBankRejectsNodeCountPastInput) {
   std::optional<NodeL0Bank> bank;
   EXPECT_NO_THROW(bank = NodeL0Bank::Deserialize(&r));
   EXPECT_FALSE(bank.has_value());
+}
+
+std::string U32s(std::initializer_list<uint32_t> words) {
+  std::string buf;
+  ByteWriter w(&buf);
+  for (uint32_t word : words) w.U32(word);
+  return buf;
+}
+
+// The same class of header one level up, through the registry: each
+// family's count of nested sketches, at 2^32 - 1, must be bounded by the
+// bytes left instead of reserved for.
+TEST(Serde, FamilyHeadersRejectCountsPastInput) {
+  constexpr uint32_t kHuge = 0xffffffffu;
+  struct Hostile {
+    const char* family;
+    size_t count_offset;
+    std::string header;  ///< ends with the count field
+  };
+  const Hostile cases[] = {
+      {"kedge", 8, U32s({0x4b454353u, 8, kHuge})},  // "KECS", n, k
+      {"mst", 8, U32s({0x4d535457u, 8, kHuge})},    // "WTSM", n, count
+      // magic, n, k, max level, seed (lo, hi), level count
+      {"mincut", 24, U32s({0x4d435554u, 8, 2, 3, 9, 0, kHuge})},
+      {"sparsify", 24, U32s({0x53505346u, 8, 2, 3, 9, 0, kHuge})},
+      {"triangles", 12, U32s({0x53554247u, 8, 3, kHuge})},  // n, order
+  };
+  for (const Hostile& h : cases) {
+    SCOPED_TRACE(h.family);
+    ASSERT_EQ(h.header.size(), h.count_offset + 4);
+    std::string buf = h.header + std::string(64, '\0');
+    ByteReader r(buf);
+    std::unique_ptr<LinearSketch> sk;
+    EXPECT_NO_THROW(sk = FindAlg(h.family)->deserialize(&r));
+    EXPECT_EQ(sk, nullptr);
+  }
 }
 
 TEST(Serde, SparseRecoveryRoundTrip) {

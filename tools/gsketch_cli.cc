@@ -23,6 +23,10 @@
 // Stream commands outside the registry: `spanner` (multi-pass), `stats`,
 // and `convert` (text stream <-> GSKB binary).
 //
+// Commands are rows of one table (kCommands): positional arity, accepted
+// flags and a runner. main() checks every row the same way, so flag scope
+// is decided in one place: by the row, then by the family's AlgInfo.
+//
 // Exit status: 0 success, 1 runtime failure (unreadable/malformed stream
 // or checkpoint), 2 usage error (unknown command, malformed numbers, bad
 // flags).
@@ -35,7 +39,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -141,12 +147,12 @@ bool ParseU64(const char* s, uint64_t* out) {
   return true;
 }
 
-bool LoadTextStream(const char* path, NodeId n, DynamicGraphStream* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", path);
-    return false;
-  }
+// ------------------------------------------------------- stream input --
+
+/// THE text parser, for files and stdin alike: one "u v delta" update per
+/// line, '#' comments and blank lines skipped.
+bool ParseTextStream(std::istream& in, const char* name, NodeId n,
+                     DynamicGraphStream* out) {
   std::string line;
   size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -155,14 +161,14 @@ bool LoadTextStream(const char* path, NodeId n, DynamicGraphStream* out) {
     std::istringstream ss(line);
     long long u, v, delta;
     if (!(ss >> u >> v >> delta)) {
-      std::fprintf(stderr, "error: %s:%zu: expected 'u v delta'\n", path,
+      std::fprintf(stderr, "error: %s:%zu: expected 'u v delta'\n", name,
                    lineno);
       return false;
     }
     if (u < 0 || v < 0 || u >= static_cast<long long>(n) ||
         v >= static_cast<long long>(n) || u == v) {
       std::fprintf(stderr, "error: %s:%zu: bad endpoints %lld %lld (n=%u)\n",
-                   path, lineno, u, v, n);
+                   name, lineno, u, v, n);
       return false;
     }
     // Deltas are int64 end to end; a value past i32 is fine here and is
@@ -174,7 +180,7 @@ bool LoadTextStream(const char* path, NodeId n, DynamicGraphStream* out) {
       std::fprintf(stderr,
                    "error: %s:%zu: delta %lld exceeds the GSKB per-update "
                    "limit of %lld*2^31\n",
-                   path, lineno, delta,
+                   name, lineno, delta,
                    static_cast<long long>(kMaxDeltaChunks));
       return false;
     }
@@ -183,28 +189,22 @@ bool LoadTextStream(const char* path, NodeId n, DynamicGraphStream* out) {
   return true;
 }
 
-/// Sentinel for ForEachBinaryUpdate: read to the stream's declared end.
+/// Sentinel for ReadBinaryUpdates: read to the stream's declared end.
 constexpr uint64_t kWholeStream = UINT64_MAX;
 
-/// THE binary read loop: streams the first `limit` records (kWholeStream
-/// = all of them) of the GSKB file at `path` into `fn(const EdgeUpdate&)`
-/// in kStreamReadChunk chunks. Every consumer (LoadAnyStream,
-/// IngestStreamRange, RunServe) funnels through here, so open failures,
-/// node-count mismatches, bad records, and early truncation print ONE
-/// uniform diagnostic instead of per-command drifting copies. Returns
-/// false after printing it.
+/// THE binary read loop: checks that `reader` opened and declares n
+/// nodes, then streams its first `limit` records (kWholeStream = all of
+/// them) into `fn(const EdgeUpdate&)` in kStreamReadChunk chunks. Files,
+/// stdin and every shard site read through here, so open failures,
+/// node-count mismatches, bad records and early truncation get one
+/// diagnostic, returned (empty on success) for the caller to print.
 template <typename Fn>
-bool ForEachBinaryUpdate(const char* path, NodeId n, uint64_t limit,
-                         Fn&& fn) {
-  BinaryStreamReader reader(path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "error: %s: %s\n", path, reader.error().c_str());
-    return false;
-  }
+std::string ReadBinaryUpdates(BinaryStreamReader& reader, NodeId n,
+                              uint64_t limit, Fn&& fn) {
+  if (!reader.ok()) return reader.error();
   if (reader.nodes() != n) {
-    std::fprintf(stderr, "error: %s: stream declares n=%u but n=%u given\n",
-                 path, reader.nodes(), n);
-    return false;
+    return "stream declares n=" + std::to_string(reader.nodes()) +
+           " but n=" + std::to_string(n) + " given";
   }
   if (limit == kWholeStream) limit = reader.num_updates();
   std::vector<EdgeUpdate> batch;
@@ -219,127 +219,114 @@ bool ForEachBinaryUpdate(const char* path, NodeId n, uint64_t limit,
       ++index;
     }
   }
-  if (!reader.ok()) {
-    std::fprintf(stderr, "error: %s: %s\n", path, reader.error().c_str());
-    return false;
-  }
+  if (!reader.ok()) return reader.error();
   if (index < limit) {
-    std::fprintf(stderr,
-                 "error: %s: stream ended after %llu of %llu updates\n",
-                 path, static_cast<unsigned long long>(index),
-                 static_cast<unsigned long long>(limit));
-    return false;
+    return "stream ended after " + std::to_string(index) + " of " +
+           std::to_string(limit) + " updates";
   }
+  return "";
+}
+
+/// One opened stream input, file or stdin ('-'). A GSKB file streams
+/// from disk through `reader` in constant memory; text files and stdin
+/// arrive parsed whole in `preloaded`. A pipe can be neither sniffed nor
+/// sized, so stdin is read whole first and its bytes, through fmemopen,
+/// meet the same GSKB reader and text parser as a file's — every header,
+/// size and record check applies, under the name <stdin>.
+struct StreamInput {
+  std::string name;
+  std::unique_ptr<BinaryStreamReader> reader;
+  std::optional<DynamicGraphStream> preloaded;
+  uint64_t total = 0;
+};
+
+/// Opens the stream at `path` ('-' = stdin) for a graph of n nodes;
+/// prints the diagnostic and returns false on failure.
+bool OpenStream(const char* path, NodeId n, StreamInput* in) {
+  const bool from_stdin = std::strcmp(path, "-") == 0;
+  in->name = from_stdin ? "<stdin>" : path;
+  auto fail = [in](const std::string& why) {
+    std::fprintf(stderr, "error: %s: %s\n", in->name.c_str(), why.c_str());
+    return false;
+  };
+  if (!from_stdin && LooksLikeBinaryStream(path)) {
+    in->reader = std::make_unique<BinaryStreamReader>(path);
+    std::string error =
+        ReadBinaryUpdates(*in->reader, n, 0, [](const EdgeUpdate&) {});
+    if (!error.empty()) return fail(error);
+    in->total = in->reader->num_updates();
+    return true;
+  }
+  DynamicGraphStream stream(n);
+  if (from_stdin) {
+    std::string data;
+    char buf[1 << 16];
+    size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), stdin)) > 0) {
+      data.append(buf, got);
+    }
+    std::FILE* mem = std::ferror(stdin)
+                         ? nullptr
+                         : fmemopen(data.data(), data.size(), "rb");
+    if (mem == nullptr) return fail("read failed");
+    const bool binary = LooksLikeBinaryStream(mem);
+    std::string error;
+    if (binary) {
+      BinaryStreamReader reader(mem);
+      error = ReadBinaryUpdates(reader, n, kWholeStream,
+                                [&stream](const EdgeUpdate& e) {
+                                  stream.Push(e.u, e.v, e.delta);
+                                });
+    }
+    std::fclose(mem);
+    if (!error.empty()) return fail(error);
+    std::istringstream text(data);
+    if (!binary && !ParseTextStream(text, "<stdin>", n, &stream)) {
+      return false;
+    }
+  } else {
+    std::ifstream text(path);
+    if (!text) {
+      std::fprintf(stderr, "error: cannot open %s\n", path);
+      return false;
+    }
+    if (!ParseTextStream(text, path, n, &stream)) return false;
+  }
+  in->total = stream.Size();
+  in->preloaded = std::move(stream);
   return true;
 }
 
-/// Reads stdin to exhaustion and parses it as a stream: GSKB binary when
-/// it starts with the magic, text "u v delta" lines otherwise. Pipelines
-/// (`gen ... - | gsketch <alg> <n> -`) have no seekable file to sniff, so
-/// the whole stream is slurped into memory first — stdin is the
-/// small-stream convenience path; huge streams should go through a file.
-bool LoadStdinStream(NodeId n, DynamicGraphStream* out) {
-  std::string data;
-  char buf[1 << 16];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), stdin)) > 0) {
-    data.append(buf, got);
-  }
-  if (std::ferror(stdin)) {
-    std::fprintf(stderr, "error: <stdin>: read failed\n");
-    return false;
-  }
-  uint32_t magic = 0;
-  if (data.size() >= sizeof(magic)) std::memcpy(&magic, data.data(), 4);
-  if (magic != kBinaryStreamMagic) {
-    // Text path: same validation rules as LoadTextStream.
-    std::istringstream in(data);
-    std::string line;
-    size_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty() || line[0] == '#') continue;
-      std::istringstream ss(line);
-      long long u, v, delta;
-      if (!(ss >> u >> v >> delta)) {
-        std::fprintf(stderr, "error: <stdin>:%zu: expected 'u v delta'\n",
-                     lineno);
-        return false;
-      }
-      if (u < 0 || v < 0 || u >= static_cast<long long>(n) ||
-          v >= static_cast<long long>(n) || u == v) {
-        std::fprintf(stderr,
-                     "error: <stdin>:%zu: bad endpoints %lld %lld (n=%u)\n",
-                     lineno, u, v, n);
-        return false;
-      }
-      out->Push(static_cast<NodeId>(u), static_cast<NodeId>(v), delta);
-    }
+/// Feeds updates [0, to) of `in` to `fn(const EdgeUpdate&)`; prints the
+/// diagnostic and returns false on a read failure.
+template <typename Fn>
+bool ForEachUpdate(StreamInput& in, NodeId n, uint64_t to, Fn&& fn) {
+  if (in.preloaded.has_value()) {
+    const auto& updates = in.preloaded->Updates();
+    for (uint64_t i = 0; i < to; ++i) fn(updates[i]);
     return true;
   }
-  // GSKB path: validate the in-memory header and records with the same
-  // rules as BinaryStreamReader.
-  if (data.size() < kBinaryStreamHeaderBytes) {
-    std::fprintf(stderr, "error: <stdin>: truncated GSKB header\n");
-    return false;
-  }
-  uint32_t version = 0, stream_n = 0;
-  uint64_t count = 0;
-  std::memcpy(&version, data.data() + 4, 4);
-  std::memcpy(&stream_n, data.data() + 8, 4);
-  std::memcpy(&count, data.data() + 12, 8);
-  if (version != kBinaryStreamVersion) {
-    std::fprintf(stderr, "error: <stdin>: unsupported GSKB version %u\n",
-                 version);
-    return false;
-  }
-  if (stream_n != n) {
-    std::fprintf(stderr,
-                 "error: <stdin>: stream declares n=%u but n=%u given\n",
-                 stream_n, n);
-    return false;
-  }
-  if (data.size() <
-      kBinaryStreamHeaderBytes + count * kBinaryStreamRecordBytes) {
-    std::fprintf(stderr, "error: <stdin>: GSKB stream truncated\n");
-    return false;
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    const char* rec =
-        data.data() + kBinaryStreamHeaderBytes + i * kBinaryStreamRecordBytes;
-    uint32_t u = 0, v = 0;
-    int32_t delta = 0;
-    std::memcpy(&u, rec, 4);
-    std::memcpy(&v, rec + 4, 4);
-    std::memcpy(&delta, rec + 8, 4);
-    if (u >= n || v >= n || u == v) {
-      std::fprintf(stderr,
-                   "error: <stdin>: record %llu has bad endpoints %u %u "
-                   "(n=%u)\n",
-                   static_cast<unsigned long long>(i), u, v, n);
-      return false;
-    }
-    out->Push(u, v, delta);
-  }
-  return true;
+  std::string error = ReadBinaryUpdates(*in.reader, n, to, fn);
+  if (error.empty()) return true;
+  std::fprintf(stderr, "error: %s: %s\n", in.name.c_str(), error.c_str());
+  return false;
 }
 
 /// Loads a whole stream (binary or text) into memory, for the commands
-/// that need random access to it. Binary failures report the reader's
-/// diagnostic (truncation, bad records), not just "malformed".
+/// that need random access to it.
 bool LoadAnyStream(const char* path, NodeId n, DynamicGraphStream* out) {
-  if (std::strcmp(path, "-") == 0) return LoadStdinStream(n, out);
-  if (!LooksLikeBinaryStream(path)) return LoadTextStream(path, n, out);
-  DynamicGraphStream stream(n);
-  if (!ForEachBinaryUpdate(path, n, kWholeStream,
-                           [&stream](const EdgeUpdate& e) {
-                             stream.Push(e.u, e.v, e.delta);
-                           })) {
-    return false;
+  StreamInput in;
+  if (!OpenStream(path, n, &in)) return false;
+  if (in.preloaded.has_value()) {
+    *out = std::move(*in.preloaded);
+    return true;
   }
-  *out = std::move(stream);
-  return true;
+  return ForEachUpdate(in, n, in.total, [out](const EdgeUpdate& e) {
+    out->Push(e.u, e.v, e.delta);
+  });
 }
+
+// ------------------------------------------------------- command line --
 
 struct IngestOptions {
   uint32_t threads = 1;
@@ -347,56 +334,177 @@ struct IngestOptions {
   bool progress = false;
 };
 
-// More workers than this is never useful and protects against typo'd
-// thread counts exhausting the process's thread limit.
-constexpr uint64_t kMaxThreads = 256;
+/// Flag groups: the unit a command row accepts, refuses or requires.
+enum FlagGroup : unsigned {
+  kAtFlag = 1u << 0,        ///< --at
+  kShardsFlag = 1u << 1,    ///< --shards
+  kServeFlags = 1u << 2,    ///< --queries, --snapshot-every, --snapshot-ms
+  kTenantsFlag = 1u << 3,   ///< --tenants
+  kKFlag = 1u << 4,         ///< --k
+  kMaxWeightFlag = 1u << 5, ///< --max-weight
+  kIngestFlags = 1u << 6,   ///< --threads, --gutter, --progress
+  kAlgFlags = kKFlag | kMaxWeightFlag,
+};
 
-// Shard counts share the thread ceiling (each shard gets a thread).
-constexpr uint64_t kMaxShards = 256;
+/// One command line: the positionals after the command word(s), the flag
+/// values, and what main() resolved from them (family, n, seed).
+struct Invocation {
+  std::vector<const char*> pos;
+  unsigned given = 0;  ///< FlagGroup bits present on the command line
+  IngestOptions ingest;
+  AlgOptions alg;
+  uint64_t at = UINT64_MAX;         ///< --at; MAX = half the stream
+  uint32_t shards = 0;              ///< --shards
+  uint32_t tenants = 0;             ///< --tenants
+  const char* queries = nullptr;    ///< --queries script path; null = stdin
+  uint64_t snapshot_every = 0;      ///< --snapshot-every N updates; 0 = off
+  uint64_t snapshot_ms = 0;         ///< --snapshot-ms wall clock; 0 = off
+  const AlgInfo* info = nullptr;
+  NodeId n = 0;
+  uint64_t seed = 1;
+};
 
-/// Counts the updates in a stream file without materializing it: the GSKB
-/// header carries the count; text files are scanned into memory (they are
-/// the small-stream path) and the stream is handed back via *preloaded.
-bool CountStreamUpdates(const char* path, NodeId n, uint64_t* total,
-                        std::optional<DynamicGraphStream>* preloaded) {
-  if (std::strcmp(path, "-") == 0) {
-    DynamicGraphStream stream(n);
-    if (!LoadStdinStream(n, &stream)) return false;
-    *total = stream.Size();
-    *preloaded = std::move(stream);
-    return true;
-  }
-  if (LooksLikeBinaryStream(path)) {
-    BinaryStreamReader reader(path);
-    if (!reader.ok()) {
-      std::fprintf(stderr, "error: %s: %s\n", path, reader.error().c_str());
+/// One flag that takes a number. A value that does not parse, or is below
+/// `least`, gets `needs`; one outside [lo, hi] gets `range` (or `needs`).
+struct ValueFlag {
+  const char* name;
+  unsigned group;
+  uint64_t least, lo, hi;
+  const char* needs;
+  const char* range;
+  void (*set)(Invocation* a, uint64_t value);
+};
+
+const ValueFlag kValueFlags[] = {
+    {"--snapshot-every", kServeFlags, 1, 1, UINT64_MAX,
+     "needs a positive integer", nullptr,
+     [](Invocation* a, uint64_t v) { a->snapshot_every = v; }},
+    {"--snapshot-ms", kServeFlags, 1, 1, UINT64_MAX,
+     "needs a positive integer", nullptr,
+     [](Invocation* a, uint64_t v) { a->snapshot_ms = v; }},
+    {"--max-weight", kMaxWeightFlag, 1, 1, uint64_t{1} << 32,
+     "needs an integer in [1, 2^32]", nullptr,
+     [](Invocation* a, uint64_t v) {
+       a->alg.max_weight = static_cast<int64_t>(v);
+     }},
+    {"--tenants", kTenantsFlag, 2, 2, 256, "needs an integer in [2, 256]",
+     nullptr,
+     [](Invocation* a, uint64_t v) {
+       a->tenants = static_cast<uint32_t>(v);
+     }},
+    {"--at", kAtFlag, 0, 0, UINT64_MAX, "needs a non-negative integer",
+     nullptr, [](Invocation* a, uint64_t v) { a->at = v; }},
+    {"--k", kKFlag, 0, 1, 1024, "needs a non-negative integer",
+     "must be in [1, 1024]",
+     [](Invocation* a, uint64_t v) { a->alg.k = static_cast<uint32_t>(v); }},
+    // Shard counts share the thread ceiling (each shard gets a thread).
+    {"--shards", kShardsFlag, 0, 2, 256, "needs a non-negative integer",
+     "must be in [2, 256]",
+     [](Invocation* a, uint64_t v) { a->shards = static_cast<uint32_t>(v); }},
+    // More workers than this is never useful and protects against typo'd
+    // thread counts exhausting the process's thread limit.
+    {"--threads", kIngestFlags, 1, 1, 256, "needs a positive integer",
+     "must be <= 256",
+     [](Invocation* a, uint64_t v) {
+       a->ingest.threads = static_cast<uint32_t>(v);
+     }},
+    // At least one 12-byte entry per gutter; cap at 1 GiB/node.
+    {"--gutter", kIngestFlags, kGutterEntryBytes, kGutterEntryBytes,
+     uint64_t{1} << 30, "needs a byte count in [12, 2^30]", nullptr,
+     [](Invocation* a, uint64_t v) { a->ingest.gutter = v; }},
+};
+
+/// Splits argv[2..] into flags (values into *a) and positionals. Prints
+/// the diagnostic and returns false on a malformed or unknown flag.
+bool ParseFlags(int argc, char** argv, Invocation* a) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--queries") {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: --queries needs a file path\n");
+        return false;
+      }
+      a->queries = argv[++i];
+      a->given |= kServeFlags;
+      continue;
+    }
+    if (arg == "--progress") {
+      a->ingest.progress = true;
+      a->given |= kIngestFlags;
+      continue;
+    }
+    const ValueFlag* flag = nullptr;
+    for (const ValueFlag& f : kValueFlags) {
+      if (arg == f.name) flag = &f;
+    }
+    if (flag == nullptr) {
+      if (arg.rfind("--", 0) == 0) {
+        std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
+        return false;
+      }
+      a->pos.push_back(argv[i]);
+      continue;
+    }
+    uint64_t value = 0;
+    if (i + 1 >= argc || !ParseU64(argv[i + 1], &value) ||
+        value < flag->least) {
+      std::fprintf(stderr, "error: %s %s\n", flag->name, flag->needs);
       return false;
     }
-    if (reader.nodes() != n) {
-      std::fprintf(stderr, "error: %s: stream declares n=%u but n=%u given\n",
-                   path, reader.nodes(), n);
+    if (value < flag->lo || value > flag->hi) {
+      std::fprintf(stderr, "error: %s %s\n", flag->name,
+                   flag->range != nullptr ? flag->range : flag->needs);
       return false;
     }
-    *total = reader.num_updates();
-    return true;
+    ++i;
+    flag->set(a, value);
+    a->given |= flag->group;
   }
-  DynamicGraphStream stream(n);
-  if (!LoadTextStream(path, n, &stream)) return false;
-  *total = stream.Size();
-  *preloaded = std::move(stream);
   return true;
 }
 
-/// THE driver-setup path: feeds updates [from, to) of the stream at `path`
-/// into `*alg` through the batched parallel driver. Every command (run,
-/// checkpoint, resume) funnels through here — the historical per-command
-/// copies collapsed into this one function. GSKB files are streamed from
-/// disk in constant memory (records before `from` are read and discarded;
-/// the format has no index); text streams arrive preloaded from
-/// CountStreamUpdates. Algorithms that are not endpoint-sharded ingest on
-/// one worker regardless of --threads.
-bool IngestStreamRange(LinearSketch* alg, const char* path, NodeId n,
-                       const std::optional<DynamicGraphStream>& preloaded,
+/// Parses the `<pos> <query>` tail of a script line, 'end' reading as
+/// UINT64_MAX: false on a malformed position. `*query` is the rest of the
+/// line without leading blanks, possibly empty.
+bool ParseScriptQuery(std::istringstream& ss, uint64_t* pos,
+                      std::string* query) {
+  std::string pos_tok;
+  ss >> pos_tok;
+  if (pos_tok == "end") {
+    *pos = UINT64_MAX;
+  } else if (!ParseU64(pos_tok.c_str(), pos)) {
+    return false;
+  }
+  std::getline(ss, *query);
+  size_t start = query->find_first_not_of(" \t");
+  *query = start == std::string::npos ? std::string() : query->substr(start);
+  return true;
+}
+
+/// Runs `parse(std::istream&, const char* name)` over the --queries file,
+/// or over stdin when there is none.
+template <typename Parse>
+bool ParseScript(const char* path, Parse&& parse) {
+  if (path == nullptr) return parse(std::cin, "<stdin>");
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "error: cannot open %s\n", path);
+    return false;
+  }
+  return parse(in, path);
+}
+
+// ------------------------------------------------------------ runners --
+
+/// THE driver-setup path: feeds updates [from, to) of `in` into `*alg`
+/// through the batched parallel driver. Every command (run, checkpoint,
+/// resume) funnels through here — the historical per-command copies
+/// collapsed into this one function. GSKB files are streamed from disk in
+/// constant memory (records before `from` are read and discarded; the
+/// format has no index); text streams and stdin arrive preloaded.
+/// Algorithms that are not endpoint-sharded ingest on one worker
+/// regardless of --threads.
+bool IngestStreamRange(LinearSketch* alg, StreamInput& in, NodeId n,
                        uint64_t from, uint64_t to, const IngestOptions& opt) {
   DriverOptions dopt;
   dopt.num_workers = alg->EndpointSharded() ? opt.threads : 1;
@@ -421,56 +529,31 @@ bool IngestStreamRange(LinearSketch* alg, const char* path, NodeId n,
                     /*initial=*/from);
   }
 
-  bool ok = true;
-  if (preloaded.has_value()) {
-    const auto& updates = preloaded->Updates();
-    for (uint64_t i = from; i < to; ++i) {
-      driver.Push(updates[i].u, updates[i].v, updates[i].delta);
-    }
-  } else {
-    // Records before `from` are read and discarded (the format has no
-    // index); records past `to` are never read.
-    uint64_t index = 0;
-    ok = ForEachBinaryUpdate(path, n, to,
-                             [&](const EdgeUpdate& e) {
-                               if (index >= from) {
-                                 driver.Push(e.u, e.v, e.delta);
-                               }
-                               ++index;
-                             });
-  }
+  // Records before `from` are read and discarded; records past `to` are
+  // never read.
+  uint64_t index = 0;
+  bool ok = ForEachUpdate(in, n, to, [&](const EdgeUpdate& e) {
+    if (index++ >= from) driver.Push(e.u, e.v, e.delta);
+  });
   driver.Drain();
   if (tracker.has_value()) tracker->Stop();
   return ok;
 }
 
 /// One registered algorithm over one whole stream: make, ingest, answer.
-int RunRegistered(const AlgInfo& info, NodeId n, const char* path,
-                  uint64_t seed, const IngestOptions& opt,
-                  const AlgOptions& aopt) {
-  uint64_t total = 0;
-  std::optional<DynamicGraphStream> preloaded;
-  if (!CountStreamUpdates(path, n, &total, &preloaded)) return kExitRuntime;
-  auto sk = info.make(n, aopt, seed);
-  if (!IngestStreamRange(sk.get(), path, n, preloaded, 0, total, opt)) {
+/// Positionals: <n> <stream-file> [seed].
+int RunRegistered(const Invocation& a) {
+  StreamInput in;
+  if (!OpenStream(a.pos[1], a.n, &in)) return kExitRuntime;
+  auto sk = a.info->make(a.n, a.alg, a.seed);
+  if (!IngestStreamRange(sk.get(), in, a.n, 0, in.total, a.ingest)) {
     return kExitRuntime;
   }
   sk->PrintAnswer(stdout);
   return 0;
 }
 
-struct CheckpointCmdOptions {
-  uint64_t at = UINT64_MAX;  ///< updates before the snapshot; MAX = half
-  uint32_t shards = 0;       ///< --shards value (shard command)
-};
-
 // --------------------------------------------------------------- serve --
-
-struct ServeCmdOptions {
-  const char* queries = nullptr;  ///< --queries script path; null = stdin
-  uint64_t snapshot_every = 0;    ///< --snapshot-every N updates; 0 = off
-  uint64_t snapshot_ms = 0;       ///< --snapshot-ms wall clock; 0 = off
-};
 
 /// One scripted query: answer `text` against a snapshot that reflects
 /// exactly `pos` stream updates.
@@ -491,29 +574,21 @@ bool ParseQueryScript(std::istream& in, const char* name, uint64_t total,
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ss(line);
-    std::string pos_tok;
-    ss >> pos_tok;
-    uint64_t pos = 0;
-    if (pos_tok == "end") {
-      pos = total;
-    } else if (!ParseU64(pos_tok.c_str(), &pos)) {
+    ServeQuery q;
+    if (!ParseScriptQuery(ss, &q.pos, &q.text)) {
       std::fprintf(stderr,
                    "error: %s:%zu: expected '<pos> <query>' (or 'end "
                    "<query>'), got '%s'\n",
                    name, lineno, line.c_str());
       return false;
     }
-    if (pos > total) pos = total;
-    std::string query;
-    std::getline(ss, query);
-    size_t start = query.find_first_not_of(" \t");
-    query = start == std::string::npos ? std::string() : query.substr(start);
-    if (query.empty()) {
+    q.pos = std::min(q.pos, total);
+    if (q.text.empty()) {
       std::fprintf(stderr, "error: %s:%zu: position %llu has no query\n",
-                   name, lineno, static_cast<unsigned long long>(pos));
+                   name, lineno, static_cast<unsigned long long>(q.pos));
       return false;
     }
-    out->push_back(ServeQuery{pos, std::move(query)});
+    out->push_back(std::move(q));
   }
   std::stable_sort(out->begin(), out->end(),
                    [](const ServeQuery& a, const ServeQuery& b) {
@@ -531,29 +606,22 @@ bool ParseQueryScript(std::istream& in, const char* name, uint64_t total,
 /// WHILE ingestion continues, from the exact eager cut when one is
 /// valid. Every answer is prefixed with the stream position it
 /// reflects, and linearity makes it byte-identical to stopping
-/// ingestion there and querying.
-int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
-             const IngestOptions& opt, const ServeCmdOptions& sopt,
-             const AlgOptions& aopt) {
-  uint64_t total = 0;
-  std::optional<DynamicGraphStream> preloaded;
-  if (!CountStreamUpdates(path, n, &total, &preloaded)) return kExitRuntime;
+/// ingestion there and querying. Positionals: <alg> <n> <stream> [seed].
+int RunServe(const Invocation& a) {
+  const AlgInfo& info = *a.info;
+  const IngestOptions& opt = a.ingest;
+  StreamInput in;
+  if (!OpenStream(a.pos[2], a.n, &in)) return kExitRuntime;
+  const uint64_t total = in.total;
 
   std::vector<ServeQuery> queries;
-  if (sopt.queries != nullptr) {
-    std::ifstream qin(sopt.queries);
-    if (!qin) {
-      std::fprintf(stderr, "error: cannot open %s\n", sopt.queries);
-      return kExitRuntime;
-    }
-    if (!ParseQueryScript(qin, sopt.queries, total, &queries)) {
-      return kExitRuntime;
-    }
-  } else if (!ParseQueryScript(std::cin, "<stdin>", total, &queries)) {
+  if (!ParseScript(a.queries, [&](std::istream& s, const char* name) {
+        return ParseQueryScript(s, name, total, &queries);
+      })) {
     return kExitRuntime;
   }
 
-  auto sk = info.make(n, aopt, seed);
+  auto sk = info.make(a.n, a.alg, a.seed);
   DriverOptions dopt;
   dopt.num_workers = sk->EndpointSharded() ? opt.threads : 1;
   dopt.gutter_bytes = opt.gutter;
@@ -577,8 +645,7 @@ int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
   auto now_seconds = [&start] {
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
-  SnapshotScheduler scheduler(
-      static_cast<double>(sopt.snapshot_ms) / 1000.0);
+  SnapshotScheduler scheduler(static_cast<double>(a.snapshot_ms) / 1000.0);
 
   size_t qi = 0;
   uint64_t pushed = 0;
@@ -591,11 +658,11 @@ int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
   // is far coarser than that; a clock read per push is not).
   auto serve_boundary = [&] {
     bool scripted = qi < queries.size() && queries[qi].pos == pushed;
-    bool periodic = sopt.snapshot_every > 0 && pushed > 0 &&
-                    pushed % sopt.snapshot_every == 0;
+    bool periodic = a.snapshot_every > 0 && pushed > 0 &&
+                    pushed % a.snapshot_every == 0;
     bool timed = false;
     double now = 0;
-    if (sopt.snapshot_ms > 0 && (pushed & 255u) == 0) {
+    if (a.snapshot_ms > 0 && (pushed & 255u) == 0) {
       now = now_seconds();
       timed = scheduler.Due(now);
     }
@@ -620,21 +687,11 @@ int RunServe(const AlgInfo& info, NodeId n, const char* path, uint64_t seed,
     }
   };
 
-  bool ok = true;
-  if (preloaded.has_value()) {
-    for (const auto& e : preloaded->Updates()) {
-      serve_boundary();
-      driver.Push(e.u, e.v, e.delta);
-      ++pushed;
-    }
-  } else {
-    ok = ForEachBinaryUpdate(path, n, total,
-                             [&](const EdgeUpdate& e) {
-                               serve_boundary();
-                               driver.Push(e.u, e.v, e.delta);
-                               ++pushed;
-                             });
-  }
+  bool ok = ForEachUpdate(in, a.n, total, [&](const EdgeUpdate& e) {
+    serve_boundary();
+    driver.Push(e.u, e.v, e.delta);
+    ++pushed;
+  });
   driver.Drain();
   if (ok) serve_boundary();  // end-of-stream queries (pos == total)
   engine.Finish();
@@ -725,22 +782,14 @@ bool ParseMultiScript(std::istream& in, const char* fname,
     }
     if (head.size() > 1 && head[0] == '@') {
       std::string name = head.substr(1);
-      std::string pos_tok;
-      ss >> pos_tok;
       MultiQuery q;
-      if (pos_tok == "end") {
-        q.pos = UINT64_MAX;
-      } else if (!ParseU64(pos_tok.c_str(), &q.pos)) {
+      if (!ParseScriptQuery(ss, &q.pos, &q.text)) {
         std::fprintf(stderr,
                      "error: %s:%zu: expected '@<name> <pos> <query>' "
                      "(or '@<name> end <query>'), got '%s'\n",
                      fname, lineno, line.c_str());
         return false;
       }
-      std::getline(ss, q.text);
-      size_t start = q.text.find_first_not_of(" \t");
-      q.text = start == std::string::npos ? std::string()
-                                          : q.text.substr(start);
       if (q.text.empty()) {
         std::fprintf(stderr, "error: %s:%zu: @%s has no query\n", fname,
                      lineno, name.c_str());
@@ -765,20 +814,15 @@ bool ParseMultiScript(std::istream& in, const char* fname,
 /// => ...` where pos is the SESSION's own stream position, so each
 /// tenant's answers are byte-identical (modulo the name prefix) to a solo
 /// serve of that tenant's stream — the isolation invariant CI diffs.
-int RunServeMulti(NodeId n, const char* trace_path, uint64_t seed,
-                  const IngestOptions& opt, const ServeCmdOptions& sopt) {
+/// Positionals (after `multi`): <n> <trace.gskt> [seed].
+int RunServeMulti(const Invocation& a) {
+  const NodeId n = a.n;
+  const char* trace_path = a.pos[1];
   std::vector<MultiOpen> opens;
   std::vector<std::pair<std::string, MultiQuery>> scripted;
-  if (sopt.queries != nullptr) {
-    std::ifstream qin(sopt.queries);
-    if (!qin) {
-      std::fprintf(stderr, "error: cannot open %s\n", sopt.queries);
-      return kExitRuntime;
-    }
-    if (!ParseMultiScript(qin, sopt.queries, &opens, &scripted)) {
-      return kExitRuntime;
-    }
-  } else if (!ParseMultiScript(std::cin, "<stdin>", &opens, &scripted)) {
+  if (!ParseScript(a.queries, [&](std::istream& s, const char* name) {
+        return ParseMultiScript(s, name, &opens, &scripted);
+      })) {
     return kExitRuntime;
   }
   if (opens.empty()) {
@@ -866,7 +910,7 @@ int RunServeMulti(NodeId n, const char* trace_path, uint64_t seed,
   };
 
   PipelineOptions popt;
-  popt.num_workers = opt.threads;
+  popt.num_workers = a.ingest.threads;
   SessionManager manager(popt);
   std::vector<SketchSession*> sessions(tenants, nullptr);
   for (uint32_t t = 0; t < tenants; ++t) {
@@ -878,12 +922,12 @@ int RunServeMulti(NodeId n, const char* trace_path, uint64_t seed,
     }
     SessionConfig cfg;
     cfg.num_nodes = n;
-    cfg.seed = seed;
-    cfg.gutter_bytes = opt.gutter;
+    cfg.seed = a.seed;
+    cfg.gutter_bytes = a.ingest.gutter;
     cfg.eager_connectivity = info->tag == AlgTag::kConnectivity ||
                              info->tag == AlgTag::kSpanningForest;
     uint64_t ms = opens[t].snapshot_ms != 0 ? opens[t].snapshot_ms
-                                            : sopt.snapshot_ms;
+                                            : a.snapshot_ms;
     cfg.snapshot_interval_seconds = static_cast<double>(ms) / 1000.0;
     cfg.start_seconds = now_seconds();
     std::string error;
@@ -963,16 +1007,13 @@ int RunServeMulti(NodeId n, const char* trace_path, uint64_t seed,
   return 0;
 }
 
-int RunCheckpoint(const AlgInfo& info, NodeId n, const char* stream_path,
-                  const char* out_path, uint64_t seed,
-                  const IngestOptions& opt, const CheckpointCmdOptions& copt,
-                  const AlgOptions& aopt) {
-  uint64_t total = 0;
-  std::optional<DynamicGraphStream> preloaded;
-  if (!CountStreamUpdates(stream_path, n, &total, &preloaded)) {
-    return kExitRuntime;
-  }
-  uint64_t at = copt.at == UINT64_MAX ? total / 2 : copt.at;
+/// Positionals: <alg> <n> <stream-file> <out.gskc> [seed].
+int RunCheckpoint(const Invocation& a) {
+  const char* out_path = a.pos[3];
+  StreamInput in;
+  if (!OpenStream(a.pos[2], a.n, &in)) return kExitRuntime;
+  const uint64_t total = in.total;
+  uint64_t at = a.at == UINT64_MAX ? total / 2 : a.at;
   if (at > total) {
     std::fprintf(stderr,
                  "error: --at %llu exceeds the stream's %llu updates\n",
@@ -982,20 +1023,22 @@ int RunCheckpoint(const AlgInfo& info, NodeId n, const char* stream_path,
   }
 
   std::string error;
-  auto sk = info.make(n, aopt, seed);
-  if (!IngestStreamRange(sk.get(), stream_path, n, preloaded, 0, at, opt) ||
+  auto sk = a.info->make(a.n, a.alg, a.seed);
+  if (!IngestStreamRange(sk.get(), in, a.n, 0, at, a.ingest) ||
       !SaveCheckpoint(out_path, *sk, at, &error)) {
     if (!error.empty()) std::fprintf(stderr, "error: %s\n", error.c_str());
     return kExitRuntime;
   }
   std::fprintf(stderr, "checkpointed %s after %llu/%llu updates to %s\n",
-               info.name, static_cast<unsigned long long>(at),
+               a.info->name, static_cast<unsigned long long>(at),
                static_cast<unsigned long long>(total), out_path);
   return 0;
 }
 
-int RunResume(const char* stream_path, const char* ckpt_path,
-              const IngestOptions& opt) {
+/// Positionals: <stream-file> <in.gskc>.
+int RunResume(const Invocation& a) {
+  const char* stream_path = a.pos[0];
+  const char* ckpt_path = a.pos[1];
   std::string error;
   auto ckpt = ReadCheckpointFile(ckpt_path, &error);
   if (!ckpt.has_value()) {
@@ -1011,11 +1054,9 @@ int RunResume(const char* stream_path, const char* ckpt_path,
   // The restored sketch carries n, which the stream load validates
   // against.
   NodeId n = sk->num_nodes();
-  uint64_t total = 0;
-  std::optional<DynamicGraphStream> preloaded;
-  if (!CountStreamUpdates(stream_path, n, &total, &preloaded)) {
-    return kExitRuntime;
-  }
+  StreamInput in;
+  if (!OpenStream(stream_path, n, &in)) return kExitRuntime;
+  const uint64_t total = in.total;
   if (ckpt->stream_pos > total) {
     std::fprintf(stderr,
                  "error: checkpoint taken at update %llu but %s has only "
@@ -1042,8 +1083,8 @@ int RunResume(const char* stream_path, const char* ckpt_path,
                CheckpointAlgName(ckpt->alg),
                static_cast<unsigned long long>(ckpt->stream_pos),
                static_cast<unsigned long long>(total));
-  if (!IngestStreamRange(sk.get(), stream_path, n, preloaded,
-                         ckpt->stream_pos, total, opt)) {
+  if (!IngestStreamRange(sk.get(), in, n, ckpt->stream_pos, total,
+                         a.ingest)) {
     return kExitRuntime;
   }
   sk->PrintAnswer(stdout);
@@ -1053,14 +1094,13 @@ int RunResume(const char* stream_path, const char* ckpt_path,
 /// shard: sketch S disjoint stream shards independently (update i goes to
 /// shard i mod S), one thread per shard, and write one GSKC per shard.
 /// `merge` over the outputs reproduces the single-stream sketch exactly.
-int RunShard(const AlgInfo& info, NodeId n, const char* stream_path,
-             const char* out_prefix, uint64_t seed, uint32_t shards,
-             const AlgOptions& aopt) {
-  uint64_t total = 0;
-  std::optional<DynamicGraphStream> preloaded;
-  if (!CountStreamUpdates(stream_path, n, &total, &preloaded)) {
-    return kExitRuntime;
-  }
+/// Positionals: <alg> <n> <stream-file> <out-prefix> [seed].
+int RunShard(const Invocation& a) {
+  const char* stream_path = a.pos[2];
+  const char* out_prefix = a.pos[3];
+  const uint32_t shards = a.shards;
+  StreamInput in;
+  if (!OpenStream(stream_path, a.n, &in)) return kExitRuntime;
 
   std::vector<std::unique_ptr<LinearSketch>> sketches(shards);
   std::vector<uint64_t> counts(shards, 0);
@@ -1071,36 +1111,19 @@ int RunShard(const AlgInfo& info, NodeId n, const char* stream_path,
     workers.emplace_back([&, j] {
       // Each site owns a private, identically constructed sketch and its
       // own pass over the stream — no shared mutable state between sites.
-      auto sk = info.make(n, aopt, seed);
-      if (preloaded.has_value()) {
-        const auto& updates = preloaded->Updates();
-        for (uint64_t i = j; i < updates.size(); i += shards) {
-          sk->Update(updates[i].u, updates[i].v, updates[i].delta);
+      auto sk = a.info->make(a.n, a.alg, a.seed);
+      uint64_t index = 0;
+      auto take = [&](const EdgeUpdate& e) {
+        if (index++ % shards == j) {
+          sk->Update(e.u, e.v, e.delta);
           ++counts[j];
         }
+      };
+      if (in.preloaded.has_value()) {
+        for (const auto& e : in.preloaded->Updates()) take(e);
       } else {
         BinaryStreamReader reader(stream_path);
-        if (!reader.ok() || reader.nodes() != n) {
-          errors[j] = reader.ok() ? "node-count mismatch" : reader.error();
-          return;
-        }
-        std::vector<EdgeUpdate> batch;
-        uint64_t index = 0;
-        while (!reader.Done() && reader.ok()) {
-          batch.clear();
-          if (reader.ReadBatch(kStreamReadChunk, &batch) == 0) break;
-          for (const auto& e : batch) {
-            if (index % shards == j) {
-              sk->Update(e.u, e.v, e.delta);
-              ++counts[j];
-            }
-            ++index;
-          }
-        }
-        if (!reader.ok()) {
-          errors[j] = reader.error();
-          return;
-        }
+        errors[j] = ReadBinaryUpdates(reader, a.n, kWholeStream, take);
       }
       sketches[j] = std::move(sk);
     });
@@ -1125,19 +1148,27 @@ int RunShard(const AlgInfo& info, NodeId n, const char* stream_path,
   }
   std::fprintf(stderr,
                "sharded %s across %u sites (%llu updates) -> %s.shard*.gskc\n",
-               info.name, shards, static_cast<unsigned long long>(total),
+               a.info->name, shards, static_cast<unsigned long long>(in.total),
                out_prefix);
   return 0;
 }
 
 /// merge: add GSKC sketches (all the same algorithm, identically
 /// constructed) into one checkpoint whose stream position is the total.
-int RunMerge(const char* out_path, const std::vector<const char*>& inputs) {
+/// Positionals: <out.gskc> <in1.gskc> <in2.gskc> [...].
+int RunMerge(const Invocation& a) {
+  if (a.pos.size() < 3) {
+    std::fprintf(stderr,
+                 "error: merge needs <out.gskc> and at least two inputs\n");
+    return kExitUsage;
+  }
+  const char* out_path = a.pos[0];
   std::string error;
   std::unique_ptr<LinearSketch> acc;
   uint64_t stream_pos = 0;
   uint32_t flags = 0;
-  for (const char* in_path : inputs) {
+  for (size_t i = 1; i < a.pos.size(); ++i) {
+    const char* in_path = a.pos[i];
     auto ckpt = ReadCheckpointFile(in_path, &error);
     if (!ckpt.has_value()) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -1164,12 +1195,14 @@ int RunMerge(const char* out_path, const std::vector<const char*>& inputs) {
     return kExitRuntime;
   }
   std::fprintf(stderr, "merged %zu sketches (%s, %llu updates) into %s\n",
-               inputs.size(), AlgTagName(acc->Tag()),
+               a.pos.size() - 1, AlgTagName(acc->Tag()),
                static_cast<unsigned long long>(stream_pos), out_path);
   return 0;
 }
 
-int RunInspect(const char* path) {
+/// Positionals: <in.gskc>.
+int RunInspect(const Invocation& a) {
+  const char* path = a.pos[0];
   std::string error;
   auto ckpt = ReadCheckpointFile(path, &error);
   if (!ckpt.has_value()) {
@@ -1192,13 +1225,18 @@ int RunInspect(const char* path) {
   return 0;
 }
 
-int RunSpanner(NodeId n, const DynamicGraphStream& stream, uint64_t seed) {
+/// The remaining stream commands replay an in-memory stream (multi-pass
+/// or whole-stream algorithms); parallel ingestion does not apply.
+/// Positionals: <n> <stream-file> [seed].
+int RunSpanner(const Invocation& a) {
+  DynamicGraphStream stream(a.n);
+  if (!LoadAnyStream(a.pos[1], a.n, &stream)) return kExitRuntime;
   BaswanaSenOptions opt;
   opt.k = 3;
-  BaswanaSenSpanner sp(n, opt, seed);
+  BaswanaSenSpanner sp(a.n, opt, a.seed);
   sp.Run(stream);
   Graph g = stream.Materialize();
-  auto stats = CheckSpanner(g, sp.Spanner(), 0, seed);
+  auto stats = CheckSpanner(g, sp.Spanner(), 0, a.seed);
   std::printf("# spanner: %zu edges, %u passes, stretch %.2f (bound %.0f)\n",
               sp.Spanner().NumEdges(), sp.NumPasses(), stats.max_stretch,
               sp.StretchBound());
@@ -1208,7 +1246,10 @@ int RunSpanner(NodeId n, const DynamicGraphStream& stream, uint64_t seed) {
   return 0;
 }
 
-int RunStats(NodeId n, const DynamicGraphStream& stream) {
+/// Positionals: <n> <stream-file> [seed].
+int RunStats(const Invocation& a) {
+  DynamicGraphStream stream(a.n);
+  if (!LoadAnyStream(a.pos[1], a.n, &stream)) return kExitRuntime;
   Graph g = stream.Materialize();
   size_t inserts = 0, deletes = 0;
   for (const auto& e : stream.Updates()) {
@@ -1220,14 +1261,18 @@ int RunStats(NodeId n, const DynamicGraphStream& stream) {
   }
   std::printf("nodes:       %u\nupdates:     %zu (%zu ins, %zu del)\n"
               "final edges: %zu\ncomponents:  %zu\n",
-              n, stream.Size(), inserts, deletes, g.NumEdges(),
+              a.n, stream.Size(), inserts, deletes, g.NumEdges(),
               g.NumComponents());
   return 0;
 }
 
 /// convert: text -> GSKB binary, or (when the input is already binary)
 /// binary -> text, so `convert; convert` round-trips a stream.
-int RunConvert(NodeId n, const char* in_path, const char* out_path) {
+/// Positionals: <n> <input> <output>.
+int RunConvert(const Invocation& a) {
+  const NodeId n = a.n;
+  const char* in_path = a.pos[1];
+  const char* out_path = a.pos[2];
   const bool to_text = LooksLikeBinaryStream(in_path);
   DynamicGraphStream stream(n);
   if (!LoadAnyStream(in_path, n, &stream)) return kExitRuntime;
@@ -1248,93 +1293,78 @@ int RunConvert(NodeId n, const char* in_path, const char* out_path) {
       std::fprintf(stderr, "error: write to %s failed\n", out_path);
       return kExitRuntime;
     }
-  } else {
-    BinaryStreamWriter w(out_path, n);
-    for (const auto& e : stream.Updates()) w.Append(e);
-    uint64_t records = w.updates_written();
-    if (!w.Close()) {
-      std::fprintf(stderr, "error: write to %s failed\n", out_path);
-      return kExitRuntime;
-    }
-    // Wide deltas split into several i32 wire records, so the file can
-    // legitimately hold more records than the input had updates.
-    if (records != stream.Size()) {
-      std::fprintf(stderr,
-                   "wrote %zu updates as %llu wire records (GSKB binary, "
-                   "wide deltas split) to %s\n",
-                   stream.Size(), static_cast<unsigned long long>(records),
-                   out_path);
-    } else {
-      std::fprintf(stderr, "wrote %zu updates (GSKB binary) to %s\n",
-                   stream.Size(), out_path);
-    }
+    std::fprintf(stderr, "wrote %zu updates (text) to %s\n", stream.Size(),
+                 out_path);
     return 0;
   }
-  std::fprintf(stderr, "wrote %zu updates (text) to %s\n", stream.Size(),
-               out_path);
+  BinaryStreamWriter w(out_path, n);
+  for (const auto& e : stream.Updates()) w.Append(e);
+  uint64_t records = w.updates_written();
+  if (!w.Close()) {
+    std::fprintf(stderr, "error: write to %s failed\n", out_path);
+    return kExitRuntime;
+  }
+  // Wide deltas split into several i32 wire records, so the file can
+  // legitimately hold more records than the input had updates.
+  if (records != stream.Size()) {
+    std::fprintf(stderr,
+                 "wrote %zu updates as %llu wire records (GSKB binary, "
+                 "wide deltas split) to %s\n",
+                 stream.Size(), static_cast<unsigned long long>(records),
+                 out_path);
+  } else {
+    std::fprintf(stderr, "wrote %zu updates (GSKB binary) to %s\n",
+                 stream.Size(), out_path);
+  }
   return 0;
+}
+
+bool ParseUpdateCount(const char* arg, uint64_t* updates) {
+  if (ParseU64(arg, updates) && *updates != 0 &&
+      *updates <= (uint64_t{1} << 40)) {
+    return true;
+  }
+  std::fprintf(stderr, "error: updates must be an integer in [1, 2^40]\n");
+  return false;
 }
 
 /// gen: deterministic workload generation to GSKB binary. `out_path` "-"
 /// streams the bytes to stdout so a differential repro is one pipeline:
 ///   gsketch gen churn 64 2000 - 7 | gsketch connectivity 64 -
-int RunGen(const WorkloadProfile& profile, NodeId n, uint64_t updates,
-           const char* out_path, uint64_t seed) {
+/// Positionals: <profile> <n> <updates> <out.gskb> [seed].
+int RunGen(const Invocation& a) {
+  uint64_t updates = 0;
+  if (!ParseUpdateCount(a.pos[2], &updates)) return kExitUsage;
+  const WorkloadProfile* profile = FindWorkloadProfile(a.pos[0]);
+  if (profile == nullptr) {
+    std::fprintf(stderr, "error: unknown gen profile '%s' (want %s)\n",
+                 a.pos[0], WorkloadProfileNameList().c_str());
+    return kExitUsage;
+  }
   DynamicGraphStream stream =
-      profile.generate(n, static_cast<size_t>(updates), seed);
-  uint64_t records = 0;
-  if (std::strcmp(out_path, "-") == 0) {
-    // Stdout is not seekable, so the header count cannot be patched after
-    // the fact like BinaryStreamWriter does; count wire records first
-    // (wide deltas split into maximal i32 chunks, same as the writer).
-    for (const auto& e : stream.Updates()) {
-      int64_t rest = e.delta;
-      do {
-        int64_t chunk = rest > INT32_MAX
-                            ? INT32_MAX
-                            : (rest < INT32_MIN ? INT32_MIN : rest);
-        rest -= chunk;
-        ++records;
-      } while (rest != 0);
-    }
-    const uint32_t magic = kBinaryStreamMagic;
-    const uint32_t version = kBinaryStreamVersion;
-    const uint32_t n32 = n;
-    std::fwrite(&magic, 4, 1, stdout);
-    std::fwrite(&version, 4, 1, stdout);
-    std::fwrite(&n32, 4, 1, stdout);
-    std::fwrite(&records, 8, 1, stdout);
-    for (const auto& e : stream.Updates()) {
-      int64_t rest = e.delta;
-      do {
-        int64_t chunk = rest > INT32_MAX
-                            ? INT32_MAX
-                            : (rest < INT32_MIN ? INT32_MIN : rest);
-        rest -= chunk;
-        int32_t delta32 = static_cast<int32_t>(chunk);
-        std::fwrite(&e.u, 4, 1, stdout);
-        std::fwrite(&e.v, 4, 1, stdout);
-        std::fwrite(&delta32, 4, 1, stdout);
-      } while (rest != 0);
-    }
-    if (std::fflush(stdout) != 0) {
-      std::fprintf(stderr, "error: write to stdout failed\n");
-      return kExitRuntime;
-    }
+      profile->generate(a.n, static_cast<size_t>(updates), a.seed);
+  const bool to_stdout = std::strcmp(a.pos[3], "-") == 0;
+  // Stdout may be a pipe, which cannot seek back to patch the header: the
+  // writer then holds the stream until Close() and writes the header
+  // with its final count first.
+  std::optional<BinaryStreamWriter> w;
+  if (to_stdout) {
+    w.emplace(stdout, a.n);
   } else {
-    BinaryStreamWriter w(out_path, n);
-    for (const auto& e : stream.Updates()) w.Append(e);
-    records = w.updates_written();
-    if (!w.Close()) {
-      std::fprintf(stderr, "error: write to %s failed\n", out_path);
-      return kExitRuntime;
-    }
+    w.emplace(a.pos[3], a.n);
+  }
+  for (const auto& e : stream.Updates()) w->Append(e);
+  uint64_t records = w->updates_written();
+  if (!w->Close()) {
+    std::fprintf(stderr, "error: write to %s failed\n",
+                 to_stdout ? "stdout" : a.pos[3]);
+    return kExitRuntime;
   }
   WorkloadStats stats = ComputeWorkloadStats(stream);
   std::fprintf(stderr,
                "gen %s: n=%u seed=%llu, %zu updates (%zu ins, %zu del) -> "
                "%llu wire records, %zu final edges, %zu cancelled to 0\n",
-               profile.name, n, static_cast<unsigned long long>(seed),
+               profile->name, a.n, static_cast<unsigned long long>(a.seed),
                stream.Size(), stats.insert_tokens, stats.delete_tokens,
                static_cast<unsigned long long>(records), stats.final_edges,
                stats.zeroed_edges);
@@ -1345,11 +1375,15 @@ int RunGen(const WorkloadProfile& profile, NodeId n, uint64_t updates,
 /// trace. Tenant k's subsequence is exactly `gen churn <n> <u_k> ...
 /// <seed+k>` (see GenerateMultiTenantTrace), so solo references for a
 /// co-hosted run are one `gen churn` command per tenant.
-int RunGenMulti(NodeId n, uint64_t updates, uint32_t tenants,
-                const char* out_path, uint64_t seed) {
+/// Positionals (after `multi`): <n> <updates> <out.gskt> [seed].
+int RunGenMulti(const Invocation& a) {
+  uint64_t updates = 0;
+  if (!ParseUpdateCount(a.pos[1], &updates)) return kExitUsage;
+  const char* out_path = a.pos[2];
+  const uint32_t tenants = a.tenants;
   std::vector<TaggedUpdate> trace = GenerateMultiTenantTrace(
-      n, static_cast<size_t>(updates), tenants, seed);
-  TaggedStreamWriter w(out_path, n, tenants);
+      a.n, static_cast<size_t>(updates), tenants, a.seed);
+  TaggedStreamWriter w(out_path, a.n, tenants);
   for (const auto& e : trace) w.Append(e.tenant, e.u, e.v, e.delta);
   uint64_t records = w.updates_written();
   if (!w.Close()) {
@@ -1366,30 +1400,120 @@ int RunGenMulti(NodeId n, uint64_t updates, uint32_t tenants,
   std::fprintf(stderr,
                "gen multi: n=%u seed=%llu, %zu updates across %u tenants "
                "(%s) -> %llu wire records\n",
-               n, static_cast<unsigned long long>(seed), trace.size(),
+               a.n, static_cast<unsigned long long>(a.seed), trace.size(),
                tenants, split.c_str(),
                static_cast<unsigned long long>(records));
   return 0;
 }
 
-/// Parses positional <n>; exit-code semantics shared by every command.
-bool ParseNodeCount(const char* arg, NodeId* n) {
-  uint64_t n_arg = 0;
-  if (!ParseU64(arg, &n_arg) || n_arg < 2 || n_arg > (1 << 24)) {
-    std::fprintf(stderr, "error: n must be an integer in [2, 2^24]\n");
-    return false;
+// ------------------------------------------------------ command table --
+
+constexpr int kNoArg = -1;
+/// alg_at value of the family row: the command word names the family.
+constexpr int kCommandWord = -2;
+constexpr size_t kAnyCount = SIZE_MAX;
+
+/// One command. main() checks, in order: the flags the row refuses, the
+/// flag it requires, the positional arity (usage text on a mismatch), the
+/// family (whose AlgInfo then refuses --k, --max-weight or the ingest
+/// flags it cannot use), <n> and the optional trailing seed; then runs.
+struct Command {
+  const char* name;  ///< "serve multi" matches `serve multi ...`
+  size_t min_args, max_args;  ///< positionals after the command word(s)
+  int alg_at;                 ///< positional naming the family, or kNoArg
+  int n_at;                   ///< positional holding <n>, or kNoArg
+  bool seed;                  ///< the optional last positional is a seed
+  unsigned accepts;           ///< FlagGroup bits
+  unsigned required;          ///< FlagGroup bit that must be given, or 0
+  const char* required_usage; ///< e.g. "--shards S"
+  /// Refusal of the ingest flags when this row refuses them; null = the
+  /// default (they apply only to the sharded families and serve,
+  /// checkpoint and resume).
+  const char* ingest_refusal;
+  int (*run)(const Invocation&);
+};
+
+const Command kCommands[] = {
+    {"serve multi", 2, 3, kNoArg, 0, true, kIngestFlags | kServeFlags, 0,
+     nullptr, nullptr, RunServeMulti},
+    {"serve", 3, 4, 0, 1, true, kIngestFlags | kServeFlags | kAlgFlags, 0,
+     nullptr, nullptr, RunServe},
+    {"checkpoint", 4, 5, 0, 1, true, kIngestFlags | kAtFlag | kAlgFlags, 0,
+     nullptr, nullptr, RunCheckpoint},
+    {"resume", 2, 2, kNoArg, kNoArg, false, kIngestFlags, 0, nullptr,
+     nullptr, RunResume},
+    {"shard", 4, 5, 0, 1, true, kShardsFlag | kAlgFlags, kShardsFlag,
+     "--shards S",
+     "--threads/--gutter/--progress apply only to per-stream ingestion; "
+     "shard parallelism comes from --shards",
+     RunShard},
+    {"merge", 0, kAnyCount, kNoArg, kNoArg, false, 0, 0, nullptr, nullptr,
+     RunMerge},
+    {"inspect", 1, 1, kNoArg, kNoArg, false, 0, 0, nullptr, nullptr,
+     RunInspect},
+    {"gen multi", 3, 4, kNoArg, 0, true, kTenantsFlag, kTenantsFlag,
+     "--tenants K", "gen takes no options", RunGenMulti},
+    {"gen", 4, 5, kNoArg, 1, true, 0, 0, nullptr, "gen takes no options",
+     RunGen},
+    {"convert", 3, 3, kNoArg, 0, false, 0, 0, nullptr,
+     "convert takes no options", RunConvert},
+    {"spanner", 2, 3, kNoArg, 0, true, 0, 0, nullptr, nullptr, RunSpanner},
+    {"stats", 2, 3, kNoArg, 0, true, 0, 0, nullptr, nullptr, RunStats},
+    // Every registered family: `gsketch <alg> <n> <stream-file> [seed]`.
+    {nullptr, 2, 3, kCommandWord, 0, true, kIngestFlags | kAlgFlags, 0,
+     nullptr, nullptr, RunRegistered},
+};
+
+/// The row for `cmd`, consuming a leading `multi` positional for the
+/// two-word rows; null for an unknown command.
+const Command* FindCommand(const std::string& cmd,
+                           std::vector<const char*>* pos) {
+  const bool multi = !pos->empty() && std::strcmp((*pos)[0], "multi") == 0;
+  for (const Command& c : kCommands) {
+    if (c.name == nullptr) {
+      if (FindAlg(cmd) != nullptr) return &c;
+    } else if (multi && c.name == cmd + " multi") {
+      pos->erase(pos->begin());
+      return &c;
+    } else if (c.name == cmd) {
+      return &c;
+    }
   }
-  *n = static_cast<NodeId>(n_arg);
-  return true;
+  return nullptr;
 }
 
-bool ParseSeed(const std::vector<const char*>& pos, size_t index,
-               uint64_t* seed) {
-  *seed = 1;
-  if (pos.size() > index && !ParseU64(pos[index], seed)) {
-    std::fprintf(stderr, "error: seed must be a non-negative integer\n");
+/// Prints the first refusal among the flags `a` gives that the row — and,
+/// once known, the family — cannot use. True if it refused one.
+bool RefuseFlags(const Command& c, const Invocation& a) {
+  unsigned accepts = c.accepts;
+  if (a.info != nullptr) {
+    if (!a.info->uses_k) accepts &= ~kKFlag;
+    if (a.info->tag != AlgTag::kWeightedSparsify) accepts &= ~kMaxWeightFlag;
+    if (!a.info->endpoint_sharded) accepts &= ~kIngestFlags;
+  }
+  const unsigned refused = a.given & ~accepts;
+  std::string why;
+  if (refused & kAtFlag) {
+    why = "--at applies only to checkpoint";
+  } else if (refused & kShardsFlag) {
+    why = "--shards applies only to shard";
+  } else if (refused & kServeFlags) {
+    why = "--queries/--snapshot-every/--snapshot-ms apply only to serve";
+  } else if (refused & kTenantsFlag) {
+    why = "--tenants applies only to gen multi";
+  } else if (refused & kKFlag) {
+    why = "--k applies only to " + KAlgNameList();
+  } else if (refused & kMaxWeightFlag) {
+    why = "--max-weight applies only to wsparsify";
+  } else if (refused & kIngestFlags) {
+    why = c.ingest_refusal != nullptr
+              ? c.ingest_refusal
+              : "--threads/--gutter/--progress apply only to " +
+                    ShardedAlgNameList() + ", serve, checkpoint, and resume";
+  } else {
     return false;
   }
+  std::fprintf(stderr, "error: %s\n", why.c_str());
   return true;
 }
 
@@ -1405,409 +1529,46 @@ int main(int argc, char** argv) {
     PrintUsage(stdout, argv[0]);
     return 0;
   }
-
-  // Split the remaining arguments into flags and positionals.
-  IngestOptions opt;
-  CheckpointCmdOptions copt;
-  ServeCmdOptions sopt;
-  AlgOptions aopt;
-  bool ingest_flags_given = false;
-  bool at_given = false;
-  bool k_given = false;
-  bool mw_given = false;
-  bool shards_given = false;
-  bool serve_flags_given = false;
-  uint32_t tenants = 0;
-  std::vector<const char*> pos;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    uint64_t value = 0;
-    if (arg == "--queries") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --queries needs a file path\n");
-        return kExitUsage;
-      }
-      sopt.queries = argv[++i];
-      serve_flags_given = true;
-    } else if (arg == "--snapshot-every") {
-      if (i + 1 >= argc || !ParseU64(argv[i + 1], &value) || value == 0) {
-        std::fprintf(stderr,
-                     "error: --snapshot-every needs a positive integer\n");
-        return kExitUsage;
-      }
-      ++i;
-      sopt.snapshot_every = value;
-      serve_flags_given = true;
-    } else if (arg == "--snapshot-ms") {
-      if (i + 1 >= argc || !ParseU64(argv[i + 1], &value) || value == 0) {
-        std::fprintf(stderr,
-                     "error: --snapshot-ms needs a positive integer\n");
-        return kExitUsage;
-      }
-      ++i;
-      sopt.snapshot_ms = value;
-      serve_flags_given = true;
-    } else if (arg == "--max-weight") {
-      if (i + 1 >= argc || !ParseU64(argv[i + 1], &value) || value == 0 ||
-          value > (uint64_t{1} << 32)) {
-        std::fprintf(stderr,
-                     "error: --max-weight needs an integer in [1, 2^32]\n");
-        return kExitUsage;
-      }
-      ++i;
-      aopt.max_weight = static_cast<int64_t>(value);
-      mw_given = true;
-    } else if (arg == "--tenants") {
-      if (i + 1 >= argc || !ParseU64(argv[i + 1], &value) || value < 2 ||
-          value > 256) {
-        std::fprintf(stderr,
-                     "error: --tenants needs an integer in [2, 256]\n");
-        return kExitUsage;
-      }
-      ++i;
-      tenants = static_cast<uint32_t>(value);
-    } else if (arg == "--at" || arg == "--k" || arg == "--shards") {
-      if (i + 1 >= argc || !ParseU64(argv[i + 1], &value)) {
-        std::fprintf(stderr, "error: %s needs a non-negative integer\n",
-                     arg.c_str());
-        return kExitUsage;
-      }
-      ++i;
-      if (arg == "--at") {
-        copt.at = value;
-        at_given = true;
-      } else if (arg == "--k") {
-        if (value == 0 || value > 1024) {
-          std::fprintf(stderr, "error: --k must be in [1, 1024]\n");
-          return kExitUsage;
-        }
-        aopt.k = static_cast<uint32_t>(value);
-        k_given = true;
-      } else {
-        if (value < 2 || value > kMaxShards) {
-          std::fprintf(stderr, "error: --shards must be in [2, %llu]\n",
-                       static_cast<unsigned long long>(kMaxShards));
-          return kExitUsage;
-        }
-        copt.shards = static_cast<uint32_t>(value);
-        shards_given = true;
-      }
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc || !ParseU64(argv[i + 1], &value) || value == 0) {
-        std::fprintf(stderr, "error: --threads needs a positive integer\n");
-        return kExitUsage;
-      }
-      ++i;
-      ingest_flags_given = true;
-      if (value > kMaxThreads) {
-        std::fprintf(stderr, "error: --threads must be <= %llu\n",
-                     static_cast<unsigned long long>(kMaxThreads));
-        return kExitUsage;
-      }
-      opt.threads = static_cast<uint32_t>(value);
-    } else if (arg == "--gutter") {
-      // At least one 12-byte entry per gutter; cap at 1 GiB/node.
-      if (i + 1 >= argc || !ParseU64(argv[i + 1], &value) ||
-          value < kGutterEntryBytes || value > (uint64_t{1} << 30)) {
-        std::fprintf(stderr,
-                     "error: --gutter needs a byte count in [12, 2^30]\n");
-        return kExitUsage;
-      }
-      ++i;
-      ingest_flags_given = true;
-      opt.gutter = value;
-    } else if (arg == "--progress") {
-      opt.progress = true;
-      ingest_flags_given = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
-      return kExitUsage;
-    } else {
-      pos.push_back(argv[i]);
-    }
+  Invocation a;
+  if (!ParseFlags(argc, argv, &a)) return kExitUsage;
+  const Command* c = FindCommand(cmd, &a.pos);
+  if (c == nullptr) {
+    std::fprintf(stderr, "error: unknown command '%s'\n", cmd.c_str());
+    PrintUsage(stderr, argv[0]);
+    return kExitUsage;
   }
-
-  // Flag scoping, uniform across commands: each flag names the commands
-  // (or registry capability) it belongs to; anything else is exit 2.
-  auto reject_at = [&]() -> bool {
-    if (!at_given) return false;
-    std::fprintf(stderr, "error: --at applies only to checkpoint\n");
-    return true;
-  };
-  auto reject_shards = [&]() -> bool {
-    if (!shards_given) return false;
-    std::fprintf(stderr, "error: --shards applies only to shard\n");
-    return true;
-  };
-  // Registry-capability flags: each is valid only for algorithms that
-  // consume it (null info = a command that makes no sketch).
-  auto reject_alg_flags = [&](const AlgInfo* info) -> bool {
-    if (k_given && (info == nullptr || !info->uses_k)) {
-      std::fprintf(stderr, "error: --k applies only to %s\n",
-                   KAlgNameList().c_str());
-      return true;
-    }
-    if (mw_given &&
-        (info == nullptr || info->tag != AlgTag::kWeightedSparsify)) {
-      std::fprintf(stderr, "error: --max-weight applies only to wsparsify\n");
-      return true;
-    }
-    return false;
-  };
-  auto reject_ingest = [&](const char* why) -> bool {
-    if (!ingest_flags_given) return false;
-    std::fprintf(stderr,
-                 "error: --threads/--gutter/--progress apply only to %s\n",
-                 why);
-    return true;
-  };
-  auto reject_serve = [&]() -> bool {
-    if (!serve_flags_given) return false;
-    std::fprintf(stderr,
-                 "error: --queries/--snapshot-every/--snapshot-ms apply "
-                 "only to serve\n");
-    return true;
-  };
-  auto reject_tenants = [&]() -> bool {
-    if (tenants == 0) return false;
-    std::fprintf(stderr, "error: --tenants applies only to gen multi\n");
-    return true;
-  };
-  const std::string sharded_cmds =
-      ShardedAlgNameList() + ", serve, checkpoint, and resume";
-
-  if (cmd == "serve") {
-    if (reject_at() || reject_shards() || reject_tenants()) {
-      return kExitUsage;
-    }
-    if (pos.size() < 3 || pos.size() > 4) {
-      PrintUsage(stderr, argv[0]);
-      return kExitUsage;
-    }
-    if (std::strcmp(pos[0], "multi") == 0) {
-      // Multi-graph serve: sessions and families come from the script's
-      // `open` lines, so the sketch-flag scope is empty here.
-      if (reject_alg_flags(nullptr)) return kExitUsage;
-      NodeId n = 0;
-      uint64_t seed = 1;
-      if (!ParseNodeCount(pos[1], &n) || !ParseSeed(pos, 3, &seed)) {
-        return kExitUsage;
-      }
-      return RunServeMulti(n, pos[2], seed, opt, sopt);
-    }
-    const AlgInfo* info = FindAlg(pos[0]);
-    if (info == nullptr) {
-      std::fprintf(stderr, "error: unknown serve alg '%s' (want %s)\n",
-                   pos[0], RegistryNameList(", ").c_str());
-      return kExitUsage;
-    }
-    if (reject_alg_flags(info)) return kExitUsage;
-    if (!info->endpoint_sharded &&
-        reject_ingest(sharded_cmds.c_str())) {
-      return kExitUsage;
-    }
-    NodeId n = 0;
-    uint64_t seed = 1;
-    if (!ParseNodeCount(pos[1], &n) || !ParseSeed(pos, 3, &seed)) {
-      return kExitUsage;
-    }
-    return RunServe(*info, n, pos[2], seed, opt, sopt, aopt);
+  if (RefuseFlags(*c, a)) return kExitUsage;
+  if ((a.given & c->required) != c->required) {
+    std::fprintf(stderr, "error: %s requires %s\n", c->name,
+                 c->required_usage);
+    return kExitUsage;
   }
-
-  if (cmd == "checkpoint") {
-    if (reject_serve() || reject_tenants()) return kExitUsage;
-    if (pos.size() < 4 || pos.size() > 5) {
-      PrintUsage(stderr, argv[0]);
-      return kExitUsage;
-    }
-    const AlgInfo* info = FindAlg(pos[0]);
-    if (info == nullptr) {
-      std::fprintf(stderr, "error: unknown checkpoint alg '%s' (want %s)\n",
-                   pos[0], RegistryNameList(", ").c_str());
-      return kExitUsage;
-    }
-    if (reject_alg_flags(info) || reject_shards()) return kExitUsage;
-    if (!info->endpoint_sharded &&
-        reject_ingest(sharded_cmds.c_str())) {
-      return kExitUsage;
-    }
-    NodeId n = 0;
-    uint64_t seed = 1;
-    if (!ParseNodeCount(pos[1], &n) || !ParseSeed(pos, 4, &seed)) {
-      return kExitUsage;
-    }
-    return RunCheckpoint(*info, n, pos[2], pos[3], seed, opt, copt, aopt);
+  if (a.pos.size() < c->min_args || a.pos.size() > c->max_args) {
+    PrintUsage(stderr, argv[0]);
+    return kExitUsage;
   }
-
-  if (cmd == "resume") {
-    if (reject_at() || reject_alg_flags(nullptr) || reject_shards() ||
-        reject_serve() || reject_tenants()) {
+  if (c->alg_at != kNoArg) {
+    const char* alg = c->alg_at == kCommandWord ? argv[1] : a.pos[c->alg_at];
+    a.info = FindAlg(alg);
+    if (a.info == nullptr) {
+      std::fprintf(stderr, "error: unknown %s alg '%s' (want %s)\n", c->name,
+                   alg, RegistryNameList(", ").c_str());
       return kExitUsage;
     }
-    if (pos.size() != 2) {
-      PrintUsage(stderr, argv[0]);
-      return kExitUsage;
-    }
-    return RunResume(pos[0], pos[1], opt);
+    if (RefuseFlags(*c, a)) return kExitUsage;
   }
-
-  if (cmd == "shard") {
-    if (reject_at() || reject_serve() || reject_tenants()) {
+  if (c->n_at != kNoArg) {
+    uint64_t n = 0;
+    if (!ParseU64(a.pos[c->n_at], &n) || n < 2 || n > (1 << 24)) {
+      std::fprintf(stderr, "error: n must be an integer in [2, 2^24]\n");
       return kExitUsage;
     }
-    if (!shards_given) {
-      std::fprintf(stderr, "error: shard requires --shards S\n");
-      return kExitUsage;
-    }
-    if (reject_ingest("per-stream ingestion; shard parallelism comes from "
-                      "--shards")) {
-      return kExitUsage;
-    }
-    if (pos.size() < 4 || pos.size() > 5) {
-      PrintUsage(stderr, argv[0]);
-      return kExitUsage;
-    }
-    const AlgInfo* info = FindAlg(pos[0]);
-    if (info == nullptr) {
-      std::fprintf(stderr, "error: unknown shard alg '%s' (want %s)\n",
-                   pos[0], RegistryNameList(", ").c_str());
-      return kExitUsage;
-    }
-    if (reject_alg_flags(info)) return kExitUsage;
-    NodeId n = 0;
-    uint64_t seed = 1;
-    if (!ParseNodeCount(pos[1], &n) || !ParseSeed(pos, 4, &seed)) {
-      return kExitUsage;
-    }
-    return RunShard(*info, n, pos[2], pos[3], seed, copt.shards, aopt);
+    a.n = static_cast<NodeId>(n);
   }
-
-  if (cmd == "merge") {
-    if (reject_at() || reject_alg_flags(nullptr) || reject_shards() ||
-        reject_serve() || reject_tenants() ||
-        reject_ingest(sharded_cmds.c_str())) {
-      return kExitUsage;
-    }
-    if (pos.size() < 3) {
-      std::fprintf(stderr,
-                   "error: merge needs <out.gskc> and at least two "
-                   "inputs\n");
-      return kExitUsage;
-    }
-    std::vector<const char*> inputs(pos.begin() + 1, pos.end());
-    return RunMerge(pos[0], inputs);
+  if (c->seed && a.pos.size() == c->max_args &&
+      !ParseU64(a.pos.back(), &a.seed)) {
+    std::fprintf(stderr, "error: seed must be a non-negative integer\n");
+    return kExitUsage;
   }
-
-  if (cmd == "inspect") {
-    if (reject_at() || reject_alg_flags(nullptr) || reject_shards() ||
-        reject_serve() || reject_tenants() ||
-        reject_ingest(sharded_cmds.c_str())) {
-      return kExitUsage;
-    }
-    if (pos.size() != 1) {
-      PrintUsage(stderr, argv[0]);
-      return kExitUsage;
-    }
-    return RunInspect(pos[0]);
-  }
-
-  if (reject_at() || reject_shards() || reject_serve()) return kExitUsage;
-
-  if (cmd == "gen") {
-    if (reject_alg_flags(nullptr)) return kExitUsage;
-    if (ingest_flags_given) {
-      std::fprintf(stderr, "error: gen takes no options\n");
-      return kExitUsage;
-    }
-    if (pos.size() < 4 || pos.size() > 5) {
-      PrintUsage(stderr, argv[0]);
-      return kExitUsage;
-    }
-    NodeId n = 0;
-    uint64_t updates = 0;
-    uint64_t seed = 1;
-    if (!ParseNodeCount(pos[1], &n) || !ParseSeed(pos, 4, &seed)) {
-      return kExitUsage;
-    }
-    if (!ParseU64(pos[2], &updates) || updates == 0 ||
-        updates > (uint64_t{1} << 40)) {
-      std::fprintf(stderr,
-                   "error: updates must be an integer in [1, 2^40]\n");
-      return kExitUsage;
-    }
-    if (std::strcmp(pos[0], "multi") == 0) {
-      if (tenants == 0) {
-        std::fprintf(stderr, "error: gen multi requires --tenants K\n");
-        return kExitUsage;
-      }
-      return RunGenMulti(n, updates, tenants, pos[3], seed);
-    }
-    if (reject_tenants()) return kExitUsage;
-    const WorkloadProfile* profile = FindWorkloadProfile(pos[0]);
-    if (profile == nullptr) {
-      std::fprintf(stderr, "error: unknown gen profile '%s' (want %s)\n",
-                   pos[0], WorkloadProfileNameList().c_str());
-      return kExitUsage;
-    }
-    return RunGen(*profile, n, updates, pos[3], seed);
-  }
-
-  if (cmd == "convert") {
-    if (reject_alg_flags(nullptr) || reject_tenants()) return kExitUsage;
-    if (ingest_flags_given) {
-      std::fprintf(stderr, "error: convert takes no options\n");
-      return kExitUsage;
-    }
-    if (pos.size() != 3) {
-      PrintUsage(stderr, argv[0]);
-      return kExitUsage;
-    }
-    NodeId n = 0;
-    if (!ParseNodeCount(pos[0], &n)) return kExitUsage;
-    return RunConvert(n, pos[1], pos[2]);
-  }
-
-  if (const AlgInfo* info = FindAlg(cmd)) {
-    if (reject_alg_flags(info) || reject_tenants()) return kExitUsage;
-    if (!info->endpoint_sharded &&
-        reject_ingest(sharded_cmds.c_str())) {
-      return kExitUsage;
-    }
-    if (pos.size() < 2 || pos.size() > 3) {
-      PrintUsage(stderr, argv[0]);
-      return kExitUsage;
-    }
-    NodeId n = 0;
-    uint64_t seed = 1;
-    if (!ParseNodeCount(pos[0], &n) || !ParseSeed(pos, 2, &seed)) {
-      return kExitUsage;
-    }
-    return RunRegistered(*info, n, pos[1], seed, opt, aopt);
-  }
-
-  // The remaining commands replay an in-memory stream (multi-pass or
-  // whole-stream algorithms); parallel ingestion does not apply.
-  if (cmd == "spanner" || cmd == "stats") {
-    if (reject_alg_flags(nullptr) || reject_tenants() ||
-        reject_ingest(sharded_cmds.c_str())) {
-      return kExitUsage;
-    }
-    if (pos.size() < 2 || pos.size() > 3) {
-      PrintUsage(stderr, argv[0]);
-      return kExitUsage;
-    }
-    NodeId n = 0;
-    uint64_t seed = 1;
-    if (!ParseNodeCount(pos[0], &n) || !ParseSeed(pos, 2, &seed)) {
-      return kExitUsage;
-    }
-    DynamicGraphStream stream(n);
-    if (!LoadAnyStream(pos[1], n, &stream)) return kExitRuntime;
-    if (cmd == "spanner") return RunSpanner(n, stream, seed);
-    return RunStats(n, stream);
-  }
-
-  std::fprintf(stderr, "error: unknown command '%s'\n", cmd.c_str());
-  PrintUsage(stderr, argv[0]);
-  return kExitUsage;
+  return c->run(a);
 }
