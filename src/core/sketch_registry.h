@@ -127,7 +127,8 @@ class LinearSketch {
   /// default — but the contract is weaker: the result is only ever read,
   /// so families whose state is COW-shared or externally versioned may
   /// return an even cheaper view. Must be called at a quiescent point
-  /// (SketchDriver::SnapshotNow provides one).
+  /// (the drain barrier in CaptureSnapshot, src/driver/snapshot.h,
+  /// provides one).
   virtual std::unique_ptr<const LinearSketch> SnapshotView() const {
     return Clone();
   }

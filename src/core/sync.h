@@ -39,12 +39,17 @@
 //                                  flushes and Drain's help)
 //   CowCellArena own-stripe        first-touch page clone; acquired UNDER
 //                                  an apply stripe when an ingestion
-//                                  apply first touches a COW page
+//                                  apply first touches a COW page, and
+//                                  with nothing held when an arena (a
+//                                  released snapshot, on any thread)
+//                                  drops its page references
 //   IngestPipeline::drained_mu_    drain barrier wakeup; leaf — taken with
 //                                  no other lock held, by design (appliers
 //                                  only touch it after releasing
 //                                  everything else; see ApplyItem)
-//   SnapshotStore::mu_             latest-snapshot slot; leaf
+//   SnapshotStore::mu_             latest-snapshot slot; leaf — the
+//                                  capture it supersedes is released
+//                                  after it is unlocked
 //   QueryEngine::mu_               submission queue; leaf — answers are
 //                                  decoded with the lock RELEASED
 //   InsertionTracker::mu_          sampler wakeup; leaf

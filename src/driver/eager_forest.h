@@ -21,8 +21,10 @@
 //
 // Threading: updated by the driver's producer thread only (same contract
 // as SketchDriver::Push). Capture() runs at a quiescent point and returns
-// an immutable EagerCut shared with query threads via shared_ptr; the
-// SnapshotStore publish mutex provides the happens-before edge.
+// an immutable EagerCut shared with query threads via shared_ptr. The
+// mutex that hands the snapshot over provides the happens-before edge:
+// QueryEngine::mu_ for a pinned query (the session path), or the
+// SnapshotStore's when a reader resolves its latest capture.
 #ifndef GRAPHSKETCH_SRC_DRIVER_EAGER_FOREST_H_
 #define GRAPHSKETCH_SRC_DRIVER_EAGER_FOREST_H_
 

@@ -40,13 +40,12 @@
 // relies on is a capability-annotated gsketch::Mutex inside the pipeline
 // (src/driver/ingest_pipeline.h) or the COW arenas, machine-checked by
 // clang -Wthread-safety (src/core/sync.h). What the annotations CANNOT
-// express is the single-producer rule — Push/Drain/SnapshotNow from one
-// thread — because the producer path is deliberately lock-free; that rule
-// stays a documented contract, exercised by the TSan CI tier.
+// express is the single-producer rule — Push/Drain/PublishSnapshot from
+// one thread — because the producer path is deliberately lock-free; that
+// rule stays a documented contract, exercised by the TSan CI tier.
 #ifndef GRAPHSKETCH_SRC_DRIVER_SKETCH_DRIVER_H_
 #define GRAPHSKETCH_SRC_DRIVER_SKETCH_DRIVER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -55,12 +54,16 @@
 #include <vector>
 
 #include "src/driver/binary_stream.h"
-#include "src/driver/eager_forest.h"
 #include "src/driver/gutter.h"
 #include "src/driver/ingest_pipeline.h"
 #include "src/graph/stream.h"
 
 namespace gsketch {
+
+class LinearSketch;
+struct SketchSnapshot;
+class SnapshotStore;
+struct SnapshotTiming;
 
 /// Detects `NodeId num_nodes() const` on an Alg — the eager-connectivity
 /// fast path needs the node-universe size; Algs without it (ad-hoc test
@@ -81,16 +84,6 @@ struct AlgHasEndpointSharded<
     Alg,
     std::void_t<decltype(std::declval<const Alg&>().EndpointSharded())>>
     : std::true_type {};
-
-/// Where a snapshot's latency went: `drain_ms` is the barrier — flushing
-/// gutters, applying what is still queued, and waiting for the workers'
-/// in-flight batches (relocated ingestion work, not overhead);
-/// `publish_ms` is the capture
-/// itself — with COW arenas, an O(pages) fork plus the store publish.
-struct SnapshotTiming {
-  double drain_ms = 0;
-  double publish_ms = 0;
-};
 
 /// Tuning knobs for SketchDriver: the pipeline knobs plus the per-sketch
 /// channel knobs, flattened for the single-sketch caller.
@@ -173,40 +166,6 @@ class SketchDriver {
     Drain();
   }
 
-  /// The query-while-ingest barrier: drains gutters and every queued
-  /// half-update, then invokes `fn(alg, stream_pos)` with all workers
-  /// idle — `alg` reflects EXACTLY the stream_pos tokens pushed so far, a
-  /// consistent cut of the stream. Returns fn's result. Producer-side
-  /// only (the thread that calls Push); ingestion resumes the moment fn
-  /// returns, so fn should capture (clone/serialize) and get out rather
-  /// than decode in place. When `timing` is given, the barrier wait and
-  /// fn's own runtime are reported separately (drain is relocated ingest
-  /// work; publish is the snapshot's true cost). See src/driver/snapshot.h
-  /// for the capture + publish layer built on this.
-  template <typename Fn>
-  auto SnapshotNow(Fn&& fn, SnapshotTiming* timing = nullptr) {
-    using Clock = std::chrono::steady_clock;
-    auto ms = [](Clock::time_point a, Clock::time_point b) {
-      return std::chrono::duration<double, std::milli>(b - a).count();
-    };
-    auto t0 = Clock::now();
-    Drain();
-    auto t1 = Clock::now();
-    if (timing != nullptr) timing->drain_ms = ms(t0, t1);
-    using Result = decltype(std::forward<Fn>(fn)(
-        std::declval<const Alg&>(), uint64_t{0}));
-    if constexpr (std::is_void_v<Result>) {
-      std::forward<Fn>(fn)(static_cast<const Alg&>(*alg_),
-                           StreamUpdates());
-      if (timing != nullptr) timing->publish_ms = ms(t1, Clock::now());
-    } else {
-      Result result = std::forward<Fn>(fn)(static_cast<const Alg&>(*alg_),
-                                           StreamUpdates());
-      if (timing != nullptr) timing->publish_ms = ms(t1, Clock::now());
-      return result;
-    }
-  }
-
   /// Ingests a whole binary stream file and drains. Returns false if the
   /// reader failed or the stream was not fully consumed (the driver still
   /// drains whatever was read); `*error`, when given, then carries the
@@ -255,22 +214,13 @@ class SketchDriver {
   /// The gutter layer's stats.
   const GutterSystem* gutters() const { return pipeline_.gutters(sid_); }
 
-  /// The eager exact-connectivity structure, when enabled and supported
-  /// by the Alg (nullptr otherwise). Producer-side reads only while
-  /// ingestion runs.
-  const EagerForest* eager_forest() const {
-    return pipeline_.eager_forest(sid_);
-  }
-
-  /// Captures the exact partition at the current push position — NO drain:
-  /// the eager forest is maintained at Push time, so it is already
-  /// consistent with every token pushed. Returns nullptr when the feature
-  /// is off or a deletion invalidated it. Producer-side only.
-  std::shared_ptr<const EagerCut> CaptureEagerCut() {
-    return pipeline_.CaptureEagerCut(sid_);
-  }
-
  private:
+  // The query-while-ingest capture (src/driver/snapshot.h) drains and
+  // forks this driver's channel through the routine sessions use.
+  friend std::shared_ptr<const SketchSnapshot> PublishSnapshot(
+      SketchDriver<LinearSketch>* driver, SnapshotStore* store,
+      SnapshotTiming* timing);
+
   static PipelineOptions PipelineOptionsOf(const DriverOptions& opt) {
     PipelineOptions popt;
     popt.num_workers = opt.num_workers;

@@ -1,6 +1,7 @@
 #include "src/driver/snapshot.h"
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
@@ -10,15 +11,18 @@ namespace gsketch {
 std::shared_ptr<const SketchSnapshot> SnapshotStore::Publish(
     uint64_t stream_pos, std::unique_ptr<const LinearSketch> sketch,
     std::shared_ptr<const EagerCut> eager) {
-  auto snap = std::make_shared<SketchSnapshot>();
-  snap->stream_pos = stream_pos;
-  snap->sketch = std::move(sketch);
-  snap->eager = std::move(eager);
+  // Declared before the lock, so whichever capture this call gives up —
+  // the superseded one, or an out-of-order new one — is released after
+  // mu_ is: releasing a capture takes COW own-stripes, which must not
+  // nest under this leaf lock.
+  std::shared_ptr<const SketchSnapshot> snap = std::make_shared<
+      const SketchSnapshot>(
+      SketchSnapshot{stream_pos, std::move(sketch), std::move(eager)});
   MutexLock lock(mu_);
   if (latest_ != nullptr && stream_pos < latest_->stream_pos) {
     return latest_;  // out-of-order publish: keep the newer capture
   }
-  latest_ = std::move(snap);
+  latest_.swap(snap);
   ++published_;
   return latest_;
 }
@@ -33,20 +37,42 @@ uint64_t SnapshotStore::published() const {
   return published_;
 }
 
-std::shared_ptr<const SketchSnapshot> PublishSnapshot(
-    SketchDriver<LinearSketch>* driver, SnapshotStore* store,
+std::shared_ptr<const SketchSnapshot> CaptureSnapshot(
+    IngestPipeline* pipeline, IngestPipeline::SessionId sid,
+    const LinearSketch& sketch, SnapshotStore* store,
     SnapshotTiming* timing) {
+  using Clock = std::chrono::steady_clock;
+  auto ms = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double, std::milli>(b - a).count();
+  };
   // The eager cut reflects every token PUSHED, which is exactly the
   // position the drain barrier lands on (producer thread, so no pushes
   // can slip in between); capturing before the drain keeps it off the
   // publish critical path.
-  auto eager = driver->CaptureEagerCut();
-  return driver->SnapshotNow(
-      [store, &eager](const LinearSketch& alg, uint64_t stream_pos) {
-        return store->Publish(stream_pos, alg.SnapshotView(),
-                              std::move(eager));
-      },
-      timing);
+  auto eager = pipeline->CaptureEagerCut(sid);
+  const auto t0 = Clock::now();
+  pipeline->Drain(sid);
+  const auto t1 = Clock::now();
+  const uint64_t pos = pipeline->StreamUpdates(sid);
+  std::shared_ptr<const SketchSnapshot> snap;
+  if (store != nullptr) {
+    snap = store->Publish(pos, sketch.SnapshotView(), std::move(eager));
+  } else {
+    snap = std::make_shared<const SketchSnapshot>(
+        SketchSnapshot{pos, sketch.SnapshotView(), std::move(eager)});
+  }
+  if (timing != nullptr) {
+    timing->drain_ms = ms(t0, t1);
+    timing->publish_ms = ms(t1, Clock::now());
+  }
+  return snap;
+}
+
+std::shared_ptr<const SketchSnapshot> PublishSnapshot(
+    SketchDriver<LinearSketch>* driver, SnapshotStore* store,
+    SnapshotTiming* timing) {
+  return CaptureSnapshot(&driver->pipeline_, driver->sid_, *driver->alg_,
+                         store, timing);
 }
 
 namespace {
@@ -124,41 +150,18 @@ QueryEngine::QueryEngine(const SnapshotStore* store, std::FILE* out)
 QueryEngine::~QueryEngine() { Finish(); }
 
 void QueryEngine::Submit(std::string query) {
-  MutexLock lock(mu_);
-  if (finished_) return;
-  queue_.push_back(
-      Item{std::string(), std::move(query), nullptr, store_, false});
-  ++submitted_;
-  work_.NotifyOne();
-}
-
-void QueryEngine::Submit(std::string query,
-                         std::shared_ptr<const SketchSnapshot> snap) {
-  MutexLock lock(mu_);
-  if (finished_) return;
-  queue_.push_back(
-      Item{std::string(), std::move(query), std::move(snap), nullptr, true});
-  ++submitted_;
-  work_.NotifyOne();
+  Enqueue(Item{std::string(), std::move(query), nullptr, false});
 }
 
 void QueryEngine::Submit(std::string label, std::string query,
                          std::shared_ptr<const SketchSnapshot> snap) {
-  MutexLock lock(mu_);
-  if (finished_) return;
-  queue_.push_back(
-      Item{std::move(label), std::move(query), std::move(snap), nullptr,
-           true});
-  ++submitted_;
-  work_.NotifyOne();
+  Enqueue(Item{std::move(label), std::move(query), std::move(snap), true});
 }
 
-void QueryEngine::Submit(std::string label, std::string query,
-                         const SnapshotStore* session_store) {
+void QueryEngine::Enqueue(Item item) {
   MutexLock lock(mu_);
   if (finished_) return;
-  queue_.push_back(Item{std::move(label), std::move(query), nullptr,
-                        session_store, false});
+  queue_.push_back(std::move(item));
   ++submitted_;
   work_.NotifyOne();
 }
@@ -201,9 +204,8 @@ void QueryEngine::Loop() {
       queue_.pop_front();
     }
     std::shared_ptr<const SketchSnapshot> snap =
-        item.pinned
-            ? item.pin
-            : (item.store != nullptr ? item.store->Latest() : nullptr);
+        item.pinned ? std::move(item.pin)
+                    : (store_ != nullptr ? store_->Latest() : nullptr);
     // Empty for unlabeled queries, so the historical single-graph output
     // stays byte-identical; "<session>@<pos> ..." otherwise.
     const char* label = item.label.c_str();

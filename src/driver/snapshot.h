@@ -8,15 +8,15 @@
 // stream. The split here mirrors the buffered-ingest / queryable-state
 // architecture of production streaming-connectivity systems:
 //
-//   ingest thread                      query thread
-//   ─────────────                      ────────────
-//   Push Push Push ...                 Query("components")
-//   SnapshotNow() ──┐                    │ reads latest snapshot,
-//     drain barrier │ SnapshotView()     │ decodes, answers with the
-//     (gutters +    ├───► SnapshotStore ─┘ stream_pos it reflects
-//      worker       │     (latest slot)
-//      queues)      │
-//   Push Push ... ◄─┘ resumes immediately
+//   ingest thread                        query thread
+//   ─────────────                        ────────────
+//   Push Push Push ...                   Submit(label, query, snap)
+//   CaptureSnapshot() ──┐                  │ decodes against the pinned
+//     drain barrier     │ SnapshotView()   │ capture, answers with the
+//     (gutters +        ├──► snapshot ─────┘ stream_pos it reflects,
+//      worker queues)   │    (owned by the   then drops it
+//                       │     queries)
+//   Push Push ... ◄─────┘ resumes immediately
 //
 // A snapshot is a SnapshotView of the sketch pinned to the stream position
 // the drain barrier reached. With the COW-paged arenas
@@ -26,10 +26,13 @@
 // pays a single ~64 KiB first-touch copy. Snapshots are immutable and
 // handed out as shared_ptr<const>, so a slow query keeps its pages alive
 // while newer snapshots supersede it, and every answer states exactly
-// which stream prefix it reflects. Linearity makes each answer
-// byte-identical to stopping ingestion at that position and querying
-// (tests/snapshot_test.cc proves it per registered family and per
-// worker count and gutter size).
+// which stream prefix it reflects. A capture lives exactly as long as
+// something holds it: the queries pinned to it, or a SnapshotStore for
+// readers that ask for the latest one. Once the last holder lets go, the
+// live sketch re-owns the shared pages instead of copying them on first
+// touch. Linearity makes each answer byte-identical to stopping
+// ingestion at that position and querying (tests/snapshot_test.cc proves
+// it per registered family and per worker count and gutter size).
 //
 // Snapshots may also carry an EagerCut (src/driver/eager_forest.h): while
 // the stream prefix is insert-only, `connected`/`components` queries are
@@ -51,9 +54,20 @@
 #include "src/core/sketch_registry.h"
 #include "src/core/sync.h"
 #include "src/driver/eager_forest.h"
+#include "src/driver/ingest_pipeline.h"
 #include "src/driver/sketch_driver.h"
 
 namespace gsketch {
+
+/// Where a snapshot's latency went: `drain_ms` is the barrier — flushing
+/// gutters, applying what is still queued, and waiting for the workers'
+/// in-flight batches (relocated ingestion work, not overhead);
+/// `publish_ms` is the capture itself — with COW arenas, an O(pages) fork
+/// plus, when a store keeps it, the store publish.
+struct SnapshotTiming {
+  double drain_ms = 0;
+  double publish_ms = 0;
+};
 
 /// One immutable capture of sketch state: the (COW-shared) view plus the
 /// stream position (in stream tokens) it reflects, and — when the driver
@@ -94,13 +108,23 @@ class SnapshotStore {
   uint64_t published_ GSKETCH_GUARDED_BY(mu_) = 0;
 };
 
-/// Drain-barrier capture: flushes the driver's gutters and queues, takes
-/// a COW SnapshotView of the quiesced sketch (plus the eager cut when
-/// available), publishes it pinned to the drained stream position, and
+/// THE drain-barrier capture, which every publish path runs. It takes
+/// channel `sid`'s eager cut (which reflects every token pushed, exactly
+/// where the drain lands), drains the channel, and forks a COW
+/// SnapshotView of `sketch`, the sketch that channel applies to, pinned
+/// to the drained stream position. With a `store`, the capture is
+/// published there inside the publish timer, and the store's answer is
+/// returned; without one, the caller holds the only reference. When
+/// `timing` is given it receives the drain-wait vs fork/publish split.
+/// Producer-side only; ingestion may resume immediately after return.
+std::shared_ptr<const SketchSnapshot> CaptureSnapshot(
+    IngestPipeline* pipeline, IngestPipeline::SessionId sid,
+    const LinearSketch& sketch, SnapshotStore* store,
+    SnapshotTiming* timing);
+
+/// CaptureSnapshot of the driver's sketch, published into `store`;
 /// returns the published snapshot (for callers that want to pin queries
-/// to exactly this capture). When `timing` is given it receives the
-/// drain-wait vs fork/publish split. Producer-side only, like
-/// SketchDriver::Push. Ingestion may resume immediately after return.
+/// to exactly this capture). Producer-side only, like SketchDriver::Push.
 std::shared_ptr<const SketchSnapshot> PublishSnapshot(
     SketchDriver<LinearSketch>* driver, SnapshotStore* store,
     SnapshotTiming* timing = nullptr);
@@ -153,24 +177,22 @@ class SnapshotScheduler {
 ///   @<stream_pos> <query> =>\n<answer lines>   (multi-line answers)
 ///
 /// Queries submitted with an explicit snapshot are pinned to it
-/// (deterministic: the serve script path); queries submitted bare resolve
-/// the store's latest snapshot when they reach the front of the queue.
+/// (deterministic: the serve script path), and the pinned query is what
+/// keeps that capture alive: the engine drops it once the answer is
+/// written. Queries submitted bare resolve the store's latest snapshot
+/// when they reach the front of the queue.
 ///
-/// Multi-session serving: one engine answers for ANY number of sessions —
-/// the session is resolved per query, not per engine. A query submitted
-/// with a session label is answered as
+/// One engine answers for ANY number of sessions: a pinned query carries
+/// its session's label, and is answered as
 ///
 ///   <label>@<stream_pos> <query> => <answer>
 ///
-/// where the snapshot is the pinned one (or the labeled Submit's own
-/// store's latest). Unlabeled Submits keep the historical single-graph
-/// output byte-identical.
+/// An empty label keeps the single-graph `@<stream_pos>` header.
 class QueryEngine {
  public:
   /// Answers against `*store` (which must outlive the engine), writing
   /// to `out`. The worker thread starts immediately. `store` may be
-  /// nullptr for a purely multi-session engine (every Submit then pins a
-  /// snapshot or names a per-session store).
+  /// nullptr for an engine whose every Submit pins a snapshot.
   QueryEngine(const SnapshotStore* store, std::FILE* out);
 
   /// Drains the queue and joins the worker (idempotent).
@@ -179,24 +201,15 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Enqueues a query answered against the latest snapshot at execution
-  /// time. Thread-safe.
+  /// Enqueues an unlabeled query answered against the engine store's
+  /// latest snapshot at execution time. Thread-safe.
   void Submit(std::string query);
 
   /// Enqueues a query pinned to `snap` (may be nullptr: answered as "no
-  /// snapshot yet"). Thread-safe.
-  void Submit(std::string query, std::shared_ptr<const SketchSnapshot> snap);
-
-  /// Enqueues a session-labeled query pinned to `snap`; the answer header
-  /// becomes `<label>@<pos>`. Thread-safe.
+  /// snapshot yet"); the answer header is `<label>@<pos>`, or `@<pos>`
+  /// for an empty label. Thread-safe.
   void Submit(std::string label, std::string query,
               std::shared_ptr<const SketchSnapshot> snap);
-
-  /// Enqueues a session-labeled query answered against `session_store`'s
-  /// latest snapshot at execution time (the store must outlive the
-  /// engine). Thread-safe.
-  void Submit(std::string label, std::string query,
-              const SnapshotStore* session_store);
 
   /// Blocks until every submitted query has been answered, then stops the
   /// worker. Further Submits are dropped. Idempotent.
@@ -215,16 +228,13 @@ class QueryEngine {
 
  private:
   struct Item {
-    std::string label;  // empty = legacy single-graph header
+    std::string label;  // empty = single-graph header
     std::string query;
     std::shared_ptr<const SketchSnapshot> pin;
-    // Store to resolve Latest() from when not pinned: the engine's own
-    // for unlabeled Submits, the labeled Submit's session store
-    // otherwise (nullptr + !pinned answers "no snapshot yet").
-    const SnapshotStore* store = nullptr;
-    bool pinned = false;
+    bool pinned = false;  // false: resolve store_'s latest at answer time
   };
 
+  void Enqueue(Item item);
   void Loop();
 
   const SnapshotStore* const store_;

@@ -1,19 +1,20 @@
 // The multi-tenant session layer: N named sketch sessions co-hosted on
 // ONE shared IngestPipeline (worker pool + queue fabric).
 //
-// The pre-session stack was structurally single-tenant: SketchDriver
-// owned one Alg and its own worker threads, SnapshotStore had one latest
-// slot, and `gsketch_cli serve` scripted one graph per process. AGM
-// linear sketches make co-hosting cheap — all tenants share the same
+// AGM linear sketches make co-hosting cheap — all tenants share the same
 // cell/kernel machinery, per-tenant state is just arenas — so the
 // SessionManager keeps a name → SketchSession map over one pipeline:
 //
 //   SessionManager
 //   ├── IngestPipeline (shared: workers, queues, drain barrier, stripes)
 //   ├── "social"  → SketchSession { connectivity sketch, gutters,
-//   │                               SnapshotStore, scheduler, channel 0 }
+//   │                               scheduler, channel 0 }
 //   ├── "roads"   → SketchSession { mst sketch, ..., channel 1 }
 //   └── "billing" → SketchSession { kconnect sketch, ..., channel 2 }
+//
+// `gsketch_cli serve` runs every graph this way: `serve multi` opens one
+// session per trace tenant, and single-graph `serve` is one session with
+// an empty label.
 //
 // Isolation invariant (tests/session_test.cc): sessions apply to disjoint
 // sketch objects, so each tenant's sketch bytes and query answers under
@@ -25,9 +26,9 @@
 // Threading: all SessionManager calls are producer-side (the pipeline's
 // single-producer contract), which is why `sessions_` and the memory
 // accounting need no lock and carry no GSKETCH_GUARDED_BY — one thread
-// mutates them, by contract. Each session's SnapshotStore is the
-// thread-safe (capability-annotated, src/core/sync.h) handoff to query
-// threads; everything the manager touches concurrently goes through the
+// mutates them, by contract. A published capture reaches query threads
+// through QueryEngine's capability-annotated queue (src/core/sync.h);
+// everything the manager touches concurrently goes through the
 // pipeline's annotated capabilities.
 #ifndef GRAPHSKETCH_SRC_SESSION_SESSION_MANAGER_H_
 #define GRAPHSKETCH_SRC_SESSION_SESSION_MANAGER_H_

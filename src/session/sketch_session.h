@@ -1,15 +1,18 @@
 // One hosted tenant: a named registry sketch plus everything private to
-// serving it — the ingest channel on the shared pipeline, the per-session
-// SnapshotStore and snapshot cadence, the optional eager forest, and the
-// checkpoint identity needed to close and reopen the session later.
+// serving it — the ingest channel on the shared pipeline, the snapshot
+// cadence, the optional eager forest, and the checkpoint identity needed
+// to close and reopen the session later.
 //
-// A SketchSession never owns threads. All ingestion machinery lives in
-// the SessionManager's shared IngestPipeline (src/driver/ingest_pipeline.h);
-// the session is the per-tenant state a channel carries plus the serving
-// state built on top. Lifecycle and the producer-side threading contract
-// are the SessionManager's (src/session/session_manager.h) — sessions are
-// created, pushed to, drained, checkpointed, and closed from the one
-// producer thread, while snapshot readers (QueryEngine) may live anywhere.
+// A SketchSession never owns threads, and it holds no snapshots. All
+// ingestion machinery lives in the SessionManager's shared IngestPipeline
+// (src/driver/ingest_pipeline.h); the session is the per-tenant state a
+// channel carries plus the serving state built on top. Publish hands each
+// capture to its caller, and the queries pinned to it own it from there.
+// Lifecycle and the producer-side threading contract are the
+// SessionManager's (src/session/session_manager.h) — sessions are
+// created, pushed to, drained, published, checkpointed, and closed from
+// the one producer thread, while snapshot readers (QueryEngine) may live
+// anywhere.
 #ifndef GRAPHSKETCH_SRC_SESSION_SKETCH_SESSION_H_
 #define GRAPHSKETCH_SRC_SESSION_SKETCH_SESSION_H_
 
@@ -54,12 +57,6 @@ class SketchSession {
   const AlgInfo& info() const { return *info_; }
   const LinearSketch& sketch() const { return *sketch_; }
 
-  /// This session's latest-snapshot slot (thread-safe — its internals
-  /// are guarded by a capability-annotated Mutex, src/core/sync.h;
-  /// QueryEngine reads it from the query thread).
-  SnapshotStore& store() { return store_; }
-  const SnapshotStore& store() const { return store_; }
-
   /// This session's periodic-snapshot cadence (producer-side).
   SnapshotScheduler& scheduler() { return scheduler_; }
 
@@ -72,13 +69,15 @@ class SketchSession {
   /// sessions keep flowing. Producer-side.
   void Drain() { pipeline_->Drain(sid_); }
 
-  /// Drain-barrier capture into this session's store: flushes gutters and
-  /// queues, forks a COW SnapshotView pinned to the drained stream
-  /// position (plus the eager cut when valid), publishes, and returns the
-  /// snapshot. The per-session equivalent of PublishSnapshot
-  /// (src/driver/snapshot.h). Producer-side.
+  /// Drain-barrier capture (CaptureSnapshot, src/driver/snapshot.h):
+  /// flushes gutters and queues and returns a COW SnapshotView pinned to
+  /// the drained stream position, plus the eager cut when valid. The
+  /// session keeps no reference, so the capture lives as long as its
+  /// caller and the queries pinned to it. Producer-side.
   std::shared_ptr<const SketchSnapshot> Publish(
-      SnapshotTiming* timing = nullptr);
+      SnapshotTiming* timing = nullptr) {
+    return CaptureSnapshot(pipeline_, sid_, *sketch_, nullptr, timing);
+  }
 
   /// Stream tokens this session has ingested, including the restored
   /// position of a checkpoint-opened session. Producer-side.
@@ -123,7 +122,6 @@ class SketchSession {
   AlgIngestSink<LinearSketch> sink_;
   IngestPipeline* pipeline_;
   IngestPipeline::SessionId sid_ = 0;  // set by SessionManager on attach
-  SnapshotStore store_;
   SnapshotScheduler scheduler_;
 };
 

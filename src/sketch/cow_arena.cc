@@ -20,8 +20,8 @@ std::atomic<uint64_t> g_cow_epoch{0};
 //
 // Lock order (src/core/sync.h): an own-stripe is the INNER half of the
 // codebase's one nesting pair — ingestion workers reach OwnPage while
-// holding an IngestPipeline apply stripe. Nothing is ever acquired under
-// an own-stripe.
+// holding an IngestPipeline apply stripe. ReleasePages takes own-stripes
+// with nothing else held. Nothing is ever acquired under an own-stripe.
 constexpr size_t kOwnStripes = 64;
 
 Mutex& OwnStripe(size_t page_index) {
@@ -52,9 +52,9 @@ CowCellArena::CowCellArena(size_t num_slices, size_t stride)
   for (size_t pi = 0; pi < num_pages_; ++pi) {
     size_t first = pi * slices_per_page_;
     size_t count = std::min(slices_per_page_, num_slices_ - first);
-    pages_.push_back(std::make_shared<CowPage>(epoch, count * stride_));
+    pages_.push_back(std::make_shared<CowPage>(count * stride_));
   }
-  AdoptPages();
+  AdoptPages(epoch);
 }
 
 CowCellArena::CowCellArena(const CowCellArena& other)
@@ -64,12 +64,12 @@ CowCellArena::CowCellArena(const CowCellArena& other)
       num_pages_(other.num_pages_),
       pages_(other.pages_) {
   // Both sides lose exclusive ownership of every shared page: give each a
-  // fresh epoch so no page's created_epoch matches either arena until it
+  // fresh epoch so no slot's owned_ stamp matches either arena until it
   // is first-touched again. relaxed: forking REQUIRES quiescence (no
   // concurrent writers on either arena), so these stores race nothing.
   epoch_.store(NextCowEpoch(), std::memory_order_relaxed);
   other.epoch_.store(NextCowEpoch(), std::memory_order_relaxed);
-  AdoptPages();
+  AdoptPages(0);
 }
 
 CowCellArena& CowCellArena::operator=(const CowCellArena& other) {
@@ -88,7 +88,8 @@ CowCellArena::CowCellArena(CowCellArena&& other) noexcept
       slices_per_page_(other.slices_per_page_),
       num_pages_(other.num_pages_),
       pages_(std::move(other.pages_)),
-      slots_(std::move(other.slots_)) {
+      slots_(std::move(other.slots_)),
+      owned_(std::move(other.owned_)) {
   epoch_.store(other.epoch_.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
   clones_.store(other.clones_.load(std::memory_order_relaxed),
@@ -107,43 +108,57 @@ CowCellArena& CowCellArena::operator=(CowCellArena&& other) noexcept {
                  std::memory_order_relaxed);
     clones_.store(other.clones_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
+    ReleasePages();
     pages_ = std::move(other.pages_);
     slots_ = std::move(other.slots_);
+    owned_ = std::move(other.owned_);
     other.num_slices_ = 0;
     other.num_pages_ = 0;
   }
   return *this;
 }
 
-void CowCellArena::AdoptPages() {
+CowCellArena::~CowCellArena() { ReleasePages(); }
+
+void CowCellArena::AdoptPages(uint64_t owned_epoch) {
   slots_ = std::make_unique<std::atomic<CowPage*>[]>(num_pages_);
+  owned_ = std::make_unique<std::atomic<uint64_t>[]>(num_pages_);
   for (size_t pi = 0; pi < num_pages_; ++pi) {
     // relaxed: runs only at construction/fork time (quiescent by
     // contract); concurrent readers appear strictly later.
     slots_[pi].store(pages_[pi].get(), std::memory_order_relaxed);
+    owned_[pi].store(owned_epoch, std::memory_order_relaxed);
+  }
+}
+
+void CowCellArena::ReleasePages() {
+  for (size_t pi = 0; pi < pages_.size(); ++pi) {
+    MutexLock lock(OwnStripe(pi));
+    pages_[pi].reset();
   }
 }
 
 CowPage* CowCellArena::OwnPage(size_t pi) {
   MutexLock lock(OwnStripe(pi));
-  uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-  CowPage* cur = slots_[pi].load(std::memory_order_acquire);
+  const uint64_t epoch = epoch_.load(std::memory_order_relaxed);
   // Double-check: another writer may have owned this page while we waited
-  // on the stripe.
-  if (cur->created_epoch.load(std::memory_order_acquire) == epoch) return cur;
-  if (pages_[pi].use_count() == 1) {
-    // Every snapshot that shared this page is gone; re-own in place. The
-    // count can only have RISEN at a (quiescent) fork, so ==1 here is
-    // stable for the duration of this epoch.
-    cur->created_epoch.store(epoch, std::memory_order_release);
-    return cur;
+  // on the stripe (relaxed: its stores happen-before our lock).
+  if (owned_[pi].load(std::memory_order_relaxed) == epoch) {
+    return slots_[pi].load(std::memory_order_relaxed);
   }
-  auto fresh = std::make_shared<CowPage>(epoch, cur->cells);
-  CowPage* raw = fresh.get();
-  pages_[pi] = std::move(fresh);
-  slots_[pi].store(raw, std::memory_order_release);
-  clones_.fetch_add(1, std::memory_order_relaxed);
-  return raw;
+  // use_count() == 1: every snapshot that shared this page has released
+  // it, under this stripe (ReleasePages), so its reads happen-before our
+  // writes; re-own in place. The count can only RISE at a (quiescent)
+  // fork, so ==1 is stable for the rest of this epoch. Otherwise clone.
+  // The page given up stays alive for as long as a snapshot holds it; no
+  // writer dereferences it again (MutableSlice reads owned_ first).
+  if (pages_[pi].use_count() != 1) {
+    pages_[pi] = std::make_shared<CowPage>(pages_[pi]->cells);
+    slots_[pi].store(pages_[pi].get(), std::memory_order_release);
+    clones_.fetch_add(1, std::memory_order_relaxed);
+  }
+  owned_[pi].store(epoch, std::memory_order_release);
+  return pages_[pi].get();
 }
 
 size_t CowCellArena::SharedPages() const {
@@ -160,7 +175,8 @@ size_t CowCellArena::ResidentBytes() const {
     bytes += p->cells.size() * sizeof(OneSparseCell);
   }
   bytes += num_pages_ * (sizeof(std::shared_ptr<CowPage>) +
-                         sizeof(std::atomic<CowPage*>));
+                         sizeof(std::atomic<CowPage*>) +
+                         sizeof(std::atomic<uint64_t>));
   return bytes;
 }
 

@@ -9,16 +9,17 @@
 //
 // Ownership is epoch-versioned. A process-global epoch counter is bumped
 // whenever an arena is forked (copy-constructed); each arena remembers the
-// epoch it last forked at, and each page records the epoch it was created
-// (or last re-owned) in. A page is exclusively writable by an arena iff
-// page.created_epoch == arena.epoch_. The hot write path checks that with
-// two relaxed/acquire loads and an integer compare; only the FIRST write
-// that touches a page after a fork pays for anything:
+// epoch it last forked at, and, per page slot, the epoch in which it made
+// that slot's page exclusively its own. A page is exclusively writable by
+// an arena iff owned_[page] == arena.epoch_. The hot write path checks
+// that with two loads of arena-owned words and an integer compare, and
+// dereferences the page only once it is owned; only the FIRST write that
+// touches a page after a fork pays for anything:
 //   - if the page is still shared with a snapshot (use_count > 1), it is
 //     cloned (one page-sized memcpy, ~64 KiB) and the slot repointed;
 //   - if every snapshot that referenced it has been destroyed
-//     (use_count == 1), it is re-owned in place by restamping its epoch —
-//     no copy at all.
+//     (use_count == 1), it is re-owned in place by restamping the slot's
+//     epoch — no copy at all.
 // Either way the page is then owned for the rest of the epoch and writes
 // proceed at raw-pointer speed, exactly as the flat arena did.
 //
@@ -38,6 +39,13 @@
 //     reachable from a snapshot, and snapshot-reachable pages are never
 //     written. Readers of a *live* arena must externally exclude writers
 //     (same rule the flat arena had).
+//   - A snapshot may be destroyed on any thread, while the live arena
+//     ingests. Its pages are released under the same page-index stripe
+//     that OwnPage holds, so a writer that finds itself a page's last
+//     holder re-owns it only after the snapshot's reads of it. A page a
+//     writer has cloned away may be freed by the snapshot at any moment,
+//     which is why the hot path never dereferences a page it does not
+//     own.
 #ifndef GRAPHSKETCH_SRC_SKETCH_COW_ARENA_H_
 #define GRAPHSKETCH_SRC_SKETCH_COW_ARENA_H_
 
@@ -54,16 +62,13 @@ namespace gsketch {
 /// Bumps and returns the process-global arena epoch (monotone, starts at 1).
 uint64_t NextCowEpoch();
 
-/// One fixed-size run of cells plus the epoch it became exclusively owned
-/// in. Immutable once shared (created_epoch only moves when use_count==1).
+/// One fixed-size run of cells. Immutable while shared: an arena writes a
+/// page only in an epoch in which it holds the page's only reference.
 struct CowPage {
-  std::atomic<uint64_t> created_epoch;
   std::vector<OneSparseCell> cells;
 
-  CowPage(uint64_t epoch, size_t num_cells)
-      : created_epoch(epoch), cells(num_cells) {}
-  CowPage(uint64_t epoch, const std::vector<OneSparseCell>& src)
-      : created_epoch(epoch), cells(src) {}
+  explicit CowPage(size_t num_cells) : cells(num_cells) {}
+  explicit CowPage(const std::vector<OneSparseCell>& src) : cells(src) {}
 };
 
 class CowCellArena {
@@ -90,17 +95,21 @@ class CowCellArena {
   CowCellArena(CowCellArena&& other) noexcept;
   CowCellArena& operator=(CowCellArena&& other) noexcept;
 
+  /// Releases every page under its own-stripe (see the header comment).
+  ~CowCellArena();
+
   /// Writable pointer to slice `slice` (stride() cells). First touch of a
   /// page in the current epoch clones or re-owns it; afterwards this is
   /// two loads and a compare on top of the flat arena's arithmetic.
   /// Safe to call concurrently for disjoint slices.
   OneSparseCell* MutableSlice(size_t slice) {
     size_t pi = slice / slices_per_page_;
-    CowPage* p = slots_[pi].load(std::memory_order_acquire);
-    if (p->created_epoch.load(std::memory_order_acquire) !=
-        epoch_.load(std::memory_order_relaxed)) {
-      p = OwnPage(pi);
-    }
+    // acquire pairs with OwnPage's release of owned_[pi], which follows
+    // its store of slots_[pi]; the slot load itself can then be relaxed.
+    CowPage* p = owned_[pi].load(std::memory_order_acquire) ==
+                         epoch_.load(std::memory_order_relaxed)
+                     ? slots_[pi].load(std::memory_order_relaxed)
+                     : OwnPage(pi);
     return p->cells.data() + (slice - pi * slices_per_page_) * stride_;
   }
 
@@ -137,7 +146,11 @@ class CowCellArena {
   /// lock; returns the (now owned) page.
   CowPage* OwnPage(size_t pi);
 
-  void AdoptPages();  // rebuilds slots_ from pages_
+  /// Rebuilds slots_ from pages_, and owned_ with every slot stamped
+  /// `owned_epoch` (0 = none owned).
+  void AdoptPages(uint64_t owned_epoch);
+  /// Drops every page reference, each under its own-stripe.
+  void ReleasePages();
 
   size_t num_slices_ = 0;
   size_t stride_ = 0;
@@ -154,6 +167,9 @@ class CowCellArena {
   /// stores when a page is cloned. Heap-allocated because atomics are
   /// immovable.
   std::unique_ptr<std::atomic<CowPage*>[]> slots_;
+  /// Per slot, the epoch in which this arena made slots_[pi] exclusively
+  /// its own; stored (release) only after the slot, under the stripe.
+  std::unique_ptr<std::atomic<uint64_t>[]> owned_;
 };
 
 }  // namespace gsketch

@@ -250,6 +250,23 @@ TEST_F(Cli, ConvertBothWays) {
             "3 4 1\n4 5 1\n1 2 -1\n");
 }
 
+// '-' reads stdin or writes stdout, and the direction follows the bytes
+// read, not the name "-".
+TEST_F(Cli, ConvertThroughStdio) {
+  EXPECT_RUN(Sh("gsketch convert 6 s.gskb file.txt"), 0, "", kAnyErr);
+  const std::string from_file = Read("file.txt");
+  const std::string updates = from_file.substr(from_file.find(" (n="));
+  // The text the file path writes, with <stdin> as the header's name.
+  EXPECT_RUN(Sh("gsketch convert 6 - back.txt", Read("s.gskb")), 0, "",
+             "wrote 6 updates (text) to back.txt\n");
+  EXPECT_EQ(Read("back.txt"), "# converted from <stdin>" + updates);
+  EXPECT_RUN(Sh("gsketch convert 6 s.txt -"), 0, Read("s.gskb"),
+             "wrote 6 updates (GSKB binary) to <stdout>\n");
+  EXPECT_RUN(Sh("gsketch convert 6 s.gskb -"), 0, from_file,
+             "wrote 6 updates (text) to <stdout>\n");
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/-"));
+}
+
 TEST_F(Cli, ConvertSplitsWideDeltas) {
   Write("wide.txt", "0 1 8589946921\n2 3 1\n");
   EXPECT_RUN(Sh("gsketch convert 4 wide.txt wide.gskb"), 0, "",
@@ -301,6 +318,41 @@ TEST_F(Cli, GenMultiAndServeMulti) {
   // The script on stdin, one session per tenant in tag order.
   EXPECT_RUN(Sh("gsketch serve multi 64 multi.gskt 7", Read("multi.q")), 0,
              answers, kAnyErr);
+  // Periodic captures count each session's own tokens: a at 100..1000 and
+  // b at 100..1000 plus its scripted 250, so 21 captures in all.
+  Outcome periodic = Sh(
+      "gsketch serve multi 64 multi.gskt 7 --queries multi.q "
+      "--snapshot-every 100 --progress");
+  EXPECT_RUN(periodic, 0, answers, kAnyErr);
+  EXPECT_NE(periodic.err.find("progress: 1 worker\n"), std::string::npos)
+      << periodic.err;
+  EXPECT_NE(periodic.err.find("served 4 queries (0 errors) from 21 "
+                              "snapshots over 2000 updates"),
+            std::string::npos)
+      << periodic.err;
+}
+
+// '-' names stdin for the stream and for --queries, stdin feeds only one
+// of them, and a GSKT trace has no stdio path at all; each refusal exits 2
+// before stdin is read.
+TEST_F(Cli, ServeStdinRules) {
+  const char both[] =
+      "error: the stream and the query script cannot both come from stdin; "
+      "give the script with --queries FILE\n";
+  const char gskt[] =
+      "error: a GSKT trace cannot be read from stdin or written to stdout; "
+      "name a file\n";
+  EXPECT_RUN(Sh("gsketch serve connectivity 6 s.gskb --queries -",
+                "2 components\nend components\n"),
+             0, "@2 components => 4\n@6 components => 2\n", kAnyErr);
+  EXPECT_RUN(Sh("gsketch serve connectivity 6 -", Read("s.gskb")), 2, "",
+             both);
+  EXPECT_RUN(Sh("gsketch serve connectivity 6 - --queries -", Read("s.gskb")),
+             2, "", both);
+  EXPECT_RUN(Sh("gsketch gen multi --tenants 2 64 100 - 7"), 2, "", gskt);
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/-"));
+  Write("multi.q", "open a connectivity\nopen b forest\n");
+  EXPECT_RUN(Sh("gsketch serve multi 64 - --queries multi.q"), 2, "", gskt);
 }
 
 TEST_F(Cli, ServeAnswersScriptedPositions) {

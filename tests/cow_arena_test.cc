@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/driver/eager_forest.h"
@@ -121,6 +122,47 @@ TEST(CowArena, ChainedForksEachGetTheBytesAtTheirInstant) {
   };
   EXPECT_FALSE(SameCells(count_of(s1), count_of(s2)));
   EXPECT_FALSE(SameCells(count_of(s2), count_of(a)));
+}
+
+// A snapshot's last holder may release it on any thread while writers on
+// disjoint slices of shared pages first-touch them (clone or re-own). The
+// snapshot must read its fork-time bytes throughout, the live arena must
+// end with every write, and under TSan no writer may read a page the
+// release frees, nor re-own one before the snapshot's reads of it.
+TEST(CowArena, SnapshotReleasedOnAnotherThreadWhileWritersRun) {
+  constexpr size_t kSlices = 64;
+  constexpr size_t kWriters = 4;
+  constexpr int kRounds = 40;
+  CowCellArena a(kSlices, /*stride=*/256);
+  ASSERT_GT(a.slices_per_page(), kWriters);  // writers share every page
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::vector<OneSparseCell>> frozen;
+    for (size_t s = 0; s < kSlices; ++s) frozen.push_back(SliceCopy(a, s));
+    auto snap = std::make_unique<CowCellArena>(a);  // quiescent fork
+    bool snapshot_intact = true;
+    std::thread reader([&] {
+      for (size_t s = 0; s < kSlices; ++s) {
+        snapshot_intact &= SameCells(SliceCopy(*snap, s), frozen[s]);
+      }
+      snap.reset();
+    });
+    std::vector<std::thread> writers;
+    for (size_t w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&a, w] {
+        for (size_t s = w; s < kSlices; s += kWriters) StampSlice(&a, s, +1);
+      });
+    }
+    reader.join();
+    for (auto& t : writers) t.join();
+    EXPECT_TRUE(snapshot_intact) << "round " << round;
+  }
+  CowCellArena ref(kSlices, /*stride=*/256);
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t s = 0; s < kSlices; ++s) StampSlice(&ref, s, +1);
+  }
+  for (size_t s = 0; s < kSlices; ++s) {
+    EXPECT_TRUE(SameCells(SliceCopy(a, s), SliceCopy(ref, s))) << s;
+  }
 }
 
 // ------------------------------------------------------ EagerForest --

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/sketch_registry.h"
@@ -264,10 +265,10 @@ TEST(SessionManagerApi, ErrorsAndListing) {
 
 // ------------------------------------------- labeled query serving --
 
-// One QueryEngine (store-less) answers for multiple sessions: labeled
-// submits resolve each session's own store and prefix answers with
-// `<label>@<pos>`, and the answer text is byte-identical to the solo
-// sketch's own Query output at the same position.
+// One QueryEngine (store-less) answers for multiple sessions: each
+// query pinned to its session's capture is answered as `<label>@<pos>`,
+// and the answer text is byte-identical to the solo sketch's own Query
+// output at the same position.
 TEST(SessionQuery, LabeledAnswersMatchSoloModuloPrefix) {
   constexpr uint32_t kTenants = 2;
   std::vector<TaggedUpdate> trace =
@@ -296,8 +297,8 @@ TEST(SessionQuery, LabeledAnswersMatchSoloModuloPrefix) {
   {
     QueryEngine engine(/*store=*/nullptr, out);
     for (uint32_t t = 0; t < kTenants; ++t) {
-      // Publish pins the drained position into the session's store; the
-      // snapshot must reflect exactly the live (drained) sketch bytes.
+      // Publish pins the drained position; the snapshot must reflect
+      // exactly the live (drained) sketch bytes.
       auto snap = sessions[t]->Publish();
       ASSERT_NE(snap, nullptr);
       EXPECT_EQ(snap->stream_pos, sessions[t]->stream_pos());
@@ -308,7 +309,7 @@ TEST(SessionQuery, LabeledAnswersMatchSoloModuloPrefix) {
       want += TenantName(t) + "@" +
               std::to_string(sessions[t]->stream_pos()) +
               " components => " + answer + "\n";
-      engine.Submit(TenantName(t), "components", &sessions[t]->store());
+      engine.Submit(TenantName(t), "components", std::move(snap));
     }
     engine.Finish();
     EXPECT_EQ(engine.answered(), kTenants);
@@ -320,6 +321,38 @@ TEST(SessionQuery, LabeledAnswersMatchSoloModuloPrefix) {
   got.resize(std::fread(&got[0], 1, got.size(), out));
   std::fclose(out);
   EXPECT_EQ(got, want);
+}
+
+// A session keeps no reference to what it publishes: the capture lives
+// exactly as long as its readers. Dropping the caller's pointer frees it,
+// and a capture pinned to a query is freed once the engine has answered.
+TEST(SessionQuery, CapturesLiveOnlyAsLongAsTheirReaders) {
+  SessionManager mgr;
+  SessionConfig cfg;
+  cfg.num_nodes = kN;
+  cfg.seed = kSeed;
+  std::string err;
+  SketchSession* s = mgr.Create("live", "connectivity", cfg, &err);
+  ASSERT_NE(s, nullptr) << err;
+  s->Push(0, 1, 1);
+
+  auto snap = s->Publish();
+  ASSERT_NE(snap, nullptr);
+  std::weak_ptr<const SketchSnapshot> dropped = snap;
+  snap.reset();
+  EXPECT_TRUE(dropped.expired());
+
+  s->Push(1, 2, 1);
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  QueryEngine engine(/*store=*/nullptr, out);
+  snap = s->Publish();
+  std::weak_ptr<const SketchSnapshot> pinned = snap;
+  engine.Submit("live", "components", std::move(snap));
+  engine.Finish();
+  EXPECT_EQ(engine.answered(), 1u);
+  EXPECT_TRUE(pinned.expired());
+  std::fclose(out);
 }
 
 }  // namespace

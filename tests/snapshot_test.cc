@@ -118,7 +118,7 @@ TEST(LinearSketchContract, ConnectedQueryDecodesPairConnectivity) {
 
 // ------------------------------------------ query-under-ingest parity --
 
-// For every registered family: interleave SnapshotNow() captures with
+// For every registered family: interleave PublishSnapshot() captures with
 // ongoing ingestion and assert each snapshot — sketch bytes AND decoded
 // answer — is byte-identical to a drain-then-query run truncated at the
 // same stream_pos. Covers single- and multi-worker ingestion at one-entry,
@@ -290,9 +290,9 @@ TEST(QueryEngine, AnswersInOrderWithStreamPositions) {
   ASSERT_NE(out, nullptr);
   {
     QueryEngine engine(&store, out);
-    engine.Submit("components", early);  // pinned to stream_pos 1
-    engine.Submit("components");         // latest: stream_pos 2
-    engine.Submit("bogus");              // error, still in order
+    engine.Submit("", "components", early);  // pinned to stream_pos 1
+    engine.Submit("components");  // latest: stream_pos 2
+    engine.Submit("bogus");       // error, still in order
     engine.Finish();
     EXPECT_EQ(engine.answered(), 3u);
     EXPECT_EQ(engine.errors(), 1u);

@@ -227,6 +227,9 @@ std::string ReadBinaryUpdates(BinaryStreamReader& reader, NodeId n,
   return "";
 }
 
+/// '-' names stdin (for an input) or stdout (for an output).
+bool IsStdio(const char* path) { return std::strcmp(path, "-") == 0; }
+
 /// One opened stream input, file or stdin ('-'). A GSKB file streams
 /// from disk through `reader` in constant memory; text files and stdin
 /// arrive parsed whole in `preloaded`. A pipe can be neither sniffed nor
@@ -238,18 +241,20 @@ struct StreamInput {
   std::unique_ptr<BinaryStreamReader> reader;
   std::optional<DynamicGraphStream> preloaded;
   uint64_t total = 0;
+  bool binary = false;  ///< the bytes read were GSKB, not text
 };
 
 /// Opens the stream at `path` ('-' = stdin) for a graph of n nodes;
 /// prints the diagnostic and returns false on failure.
 bool OpenStream(const char* path, NodeId n, StreamInput* in) {
-  const bool from_stdin = std::strcmp(path, "-") == 0;
+  const bool from_stdin = IsStdio(path);
   in->name = from_stdin ? "<stdin>" : path;
   auto fail = [in](const std::string& why) {
     std::fprintf(stderr, "error: %s: %s\n", in->name.c_str(), why.c_str());
     return false;
   };
   if (!from_stdin && LooksLikeBinaryStream(path)) {
+    in->binary = true;
     in->reader = std::make_unique<BinaryStreamReader>(path);
     std::string error =
         ReadBinaryUpdates(*in->reader, n, 0, [](const EdgeUpdate&) {});
@@ -269,9 +274,9 @@ bool OpenStream(const char* path, NodeId n, StreamInput* in) {
                          ? nullptr
                          : fmemopen(data.data(), data.size(), "rb");
     if (mem == nullptr) return fail("read failed");
-    const bool binary = LooksLikeBinaryStream(mem);
+    in->binary = LooksLikeBinaryStream(mem);
     std::string error;
-    if (binary) {
+    if (in->binary) {
       BinaryStreamReader reader(mem);
       error = ReadBinaryUpdates(reader, n, kWholeStream,
                                 [&stream](const EdgeUpdate& e) {
@@ -281,7 +286,7 @@ bool OpenStream(const char* path, NodeId n, StreamInput* in) {
     std::fclose(mem);
     if (!error.empty()) return fail(error);
     std::istringstream text(data);
-    if (!binary && !ParseTextStream(text, "<stdin>", n, &stream)) {
+    if (!in->binary && !ParseTextStream(text, "<stdin>", n, &stream)) {
       return false;
     }
   } else {
@@ -313,10 +318,13 @@ bool ForEachUpdate(StreamInput& in, NodeId n, uint64_t to, Fn&& fn) {
 }
 
 /// Loads a whole stream (binary or text) into memory, for the commands
-/// that need random access to it.
-bool LoadAnyStream(const char* path, NodeId n, DynamicGraphStream* out) {
+/// that need random access to it; `*binary`, when given, says which of
+/// the two the bytes were.
+bool LoadAnyStream(const char* path, NodeId n, DynamicGraphStream* out,
+                   bool* binary = nullptr) {
   StreamInput in;
   if (!OpenStream(path, n, &in)) return false;
+  if (binary != nullptr) *binary = in.binary;
   if (in.preloaded.has_value()) {
     *out = std::move(*in.preloaded);
     return true;
@@ -482,10 +490,10 @@ bool ParseScriptQuery(std::istringstream& ss, uint64_t* pos,
 }
 
 /// Runs `parse(std::istream&, const char* name)` over the --queries file,
-/// or over stdin when there is none.
+/// or over stdin when it is '-' or not given.
 template <typename Parse>
 bool ParseScript(const char* path, Parse&& parse) {
-  if (path == nullptr) return parse(std::cin, "<stdin>");
+  if (path == nullptr || IsStdio(path)) return parse(std::cin, "<stdin>");
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "error: cannot open %s\n", path);
@@ -556,16 +564,40 @@ int RunRegistered(const Invocation& a) {
 // --------------------------------------------------------------- serve --
 
 /// One scripted query: answer `text` against a snapshot that reflects
-/// exactly `pos` stream updates.
+/// exactly `pos` of its session's stream tokens.
 struct ServeQuery {
   uint64_t pos = 0;
   std::string text;
 };
 
+/// Refusal for '-' as a GSKT path: the tagged-trace codec reads and
+/// writes seekable files only.
+constexpr char kGsktNoStdio[] =
+    "error: a GSKT trace cannot be read from stdin or written to stdout; "
+    "name a file\n";
+
+/// The serve front end both commands share, checked before stdin is read:
+/// '-' names stdin for the stream and for --queries (no --queries reads
+/// the script from stdin too), stdin can feed only one of the two, and a
+/// GSKT trace (`gskt`) has no stdin path. Prints the refusal.
+bool ServeInputsOk(const char* stream, const char* queries, bool gskt) {
+  if (!IsStdio(stream)) return true;
+  if (gskt) {
+    std::fputs(kGsktNoStdio, stderr);
+  } else if (queries == nullptr || IsStdio(queries)) {
+    std::fputs(
+        "error: the stream and the query script cannot both come from "
+        "stdin; give the script with --queries FILE\n",
+        stderr);
+  } else {
+    return true;
+  }
+  return false;
+}
+
 /// Parses a serve query script: one "<pos> <query...>" per line ("end" as
 /// the position means end of stream), '#' comments and blank lines
-/// skipped. Positions past the stream clamp to its end. Queries are
-/// answered in position order (ties keep script order).
+/// skipped. Positions past the stream clamp to its end.
 bool ParseQueryScript(std::istream& in, const char* name, uint64_t total,
                       std::vector<ServeQuery>* out) {
   std::string line;
@@ -590,130 +622,198 @@ bool ParseQueryScript(std::istream& in, const char* name, uint64_t total,
     }
     out->push_back(std::move(q));
   }
-  std::stable_sort(out->begin(), out->end(),
-                   [](const ServeQuery& a, const ServeQuery& b) {
-                     return a.pos < b.pos;
-                   });
   return true;
 }
 
-/// serve: query-while-ingest. Ingests the stream through the batched
-/// driver and, at every scripted position (plus every --snapshot-every
-/// updates and --snapshot-ms wall-clock tick, overdue ticks coalesced),
-/// takes a drain-barrier snapshot — a COW page-table fork
-/// (SketchDriver::SnapshotNow + SnapshotView) — and publishes it; a
-/// QueryEngine thread answers the queries pinned to those snapshots
-/// WHILE ingestion continues, from the exact eager cut when one is
-/// valid. Every answer is prefixed with the stream position it
-/// reflects, and linearity makes it byte-identical to stopping
-/// ingestion there and querying. Positionals: <alg> <n> <stream> [seed].
+/// Seconds on the steady clock: the clock of the serve loop and of its
+/// sessions' snapshot schedulers.
+double NowSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// A session as every serve run configures it: the command line's n,
+/// seed, family knobs and gutter size, the eager forest for the families
+/// whose answers it can serve exactly (insert-only prefixes; it hands
+/// over to the sketch on the first deletion it cannot absorb), and a
+/// wall-clock cadence of `snapshot_ms` (0 = off).
+SessionConfig ServeSessionConfig(const Invocation& a, const AlgInfo& info,
+                                 uint64_t snapshot_ms) {
+  SessionConfig cfg;
+  cfg.num_nodes = a.n;
+  cfg.seed = a.seed;
+  cfg.options = a.alg;
+  cfg.gutter_bytes = a.ingest.gutter;
+  cfg.eager_connectivity = info.tag == AlgTag::kConnectivity ||
+                           info.tag == AlgTag::kSpanningForest;
+  cfg.snapshot_interval_seconds = static_cast<double>(snapshot_ms) / 1000.0;
+  cfg.start_seconds = NowSeconds();
+  return cfg;
+}
+
+/// One session a serve run feeds, with its answer label (empty for
+/// single-graph serve) and its scripted queries.
+struct ServeLane {
+  SketchSession* session = nullptr;
+  std::string label;
+  std::vector<ServeQuery> queries;  ///< position order once serving
+  size_t next = 0;                  ///< first query not yet submitted
+  uint64_t pushed = 0;              ///< this session's tokens so far
+  uint64_t captured = UINT64_MAX;   ///< position of its latest capture
+};
+
+/// What a serve run did, for its closing stderr summary.
+struct ServeStats {
+  bool ok = true;          ///< the feed read its whole input
+  uint64_t tokens = 0;     ///< pushed, over every lane
+  uint64_t snapshots = 0;  ///< captures published
+  uint64_t coalesced = 0;  ///< overdue cadence ticks folded into one
+  SnapshotTiming sum{};    ///< accumulated drain/publish time
+  SnapshotTiming peak{};   ///< per-snapshot maxima
+  uint64_t answered = 0, errors = 0, eager = 0;
+};
+
+/// THE serve loop, for one session or many. `feed(push)` calls
+/// push(lane, u, v, delta) once per stream token and returns false on a
+/// read failure. Before each token the loop serves the boundary the
+/// token's lane stands at: a scripted position, every --snapshot-every of
+/// the lane's own tokens, or its session's wall-clock cadence (overdue
+/// ticks coalesced). A boundary publishes ONE capture — a COW page-table
+/// fork at a drain barrier — that every query scripted there shares, and
+/// a QueryEngine thread answers those pinned queries WHILE ingestion
+/// continues; the capture lives only as long as they do. The clock is
+/// read every 256 tokens, and then every lane's boundary is served. At
+/// the end each lane drains and serves its end-of-stream boundary. Every
+/// answer is prefixed with the position it reflects, and linearity makes
+/// it byte-identical to stopping that session's ingestion there and
+/// querying.
+template <typename Feed>
+ServeStats ServeLanes(SessionManager* manager, std::vector<ServeLane>* lanes,
+                      const Invocation& a, uint64_t total, Feed&& feed) {
+  for (ServeLane& l : *lanes) {
+    std::stable_sort(l.queries.begin(), l.queries.end(),
+                     [](const ServeQuery& x, const ServeQuery& y) {
+                       return x.pos < y.pos;
+                     });
+  }
+  ServeStats st;
+  QueryEngine engine(nullptr, stdout);
+  std::optional<InsertionTracker> tracker;
+  if (a.ingest.progress) {
+    const uint32_t workers = manager->pipeline().num_workers();
+    std::fprintf(stderr, "progress: %u worker%s\n", workers,
+                 workers == 1 ? "" : "s");
+    tracker.emplace(total, [lanes] {
+      uint64_t halves = 0;
+      for (const ServeLane& l : *lanes) halves += l.session->applied_halves();
+      return halves / 2;
+    });
+  }
+  auto serve_boundary = [&](ServeLane& l, bool timed, double now) {
+    SketchSession* s = l.session;
+    const bool scripted =
+        l.next < l.queries.size() && l.queries[l.next].pos == l.pushed;
+    const bool periodic = a.snapshot_every > 0 && l.pushed > 0 &&
+                          l.pushed % a.snapshot_every == 0 &&
+                          l.captured != l.pushed;
+    const bool due = timed && s->scheduler().Due(now);
+    if (!scripted && !periodic && !due) return;
+    SnapshotTiming timing;
+    auto snap = s->Publish(&timing);
+    if (due) s->scheduler().Taken(now);
+    l.captured = l.pushed;
+    ++st.snapshots;
+    st.sum.drain_ms += timing.drain_ms;
+    st.sum.publish_ms += timing.publish_ms;
+    st.peak.drain_ms = std::max(st.peak.drain_ms, timing.drain_ms);
+    st.peak.publish_ms = std::max(st.peak.publish_ms, timing.publish_ms);
+    if (a.ingest.progress) {
+      std::fprintf(stderr, "snapshot %s@%llu: drain %.3f ms, publish %.3f ms\n",
+                   l.label.c_str(), static_cast<unsigned long long>(l.pushed),
+                   timing.drain_ms, timing.publish_ms);
+    }
+    while (l.next < l.queries.size() && l.queries[l.next].pos == l.pushed) {
+      engine.Submit(l.label, std::move(l.queries[l.next].text), snap);
+      ++l.next;
+    }
+  };
+  st.ok = feed([&](uint32_t lane, NodeId u, NodeId v, int64_t delta) {
+    if ((st.tokens & 255u) == 0) {
+      const double now = NowSeconds();
+      for (ServeLane& l : *lanes) serve_boundary(l, true, now);
+    } else {
+      serve_boundary((*lanes)[lane], false, 0);
+    }
+    ServeLane& l = (*lanes)[lane];
+    l.session->Push(u, v, delta);
+    ++l.pushed;
+    ++st.tokens;
+  });
+  for (ServeLane& l : *lanes) {
+    l.session->Drain();
+    if (st.ok) serve_boundary(l, false, 0);  // end-of-stream queries
+  }
+  engine.Finish();
+  if (tracker.has_value()) tracker->Stop();
+  for (const ServeLane& l : *lanes) {
+    st.coalesced += l.session->scheduler().coalesced();
+  }
+  st.answered = engine.answered();
+  st.errors = engine.errors();
+  st.eager = engine.eager_answered();
+  return st;
+}
+
+/// serve: query-while-ingest over one graph, run as one unlabeled session
+/// through ServeLanes. Positionals: <alg> <n> <stream> [seed].
 int RunServe(const Invocation& a) {
-  const AlgInfo& info = *a.info;
-  const IngestOptions& opt = a.ingest;
+  if (!ServeInputsOk(a.pos[2], a.queries, false)) return kExitUsage;
   StreamInput in;
   if (!OpenStream(a.pos[2], a.n, &in)) return kExitRuntime;
   const uint64_t total = in.total;
-
-  std::vector<ServeQuery> queries;
+  std::vector<ServeLane> lanes(1);
   if (!ParseScript(a.queries, [&](std::istream& s, const char* name) {
-        return ParseQueryScript(s, name, total, &queries);
+        return ParseQueryScript(s, name, total, &lanes[0].queries);
       })) {
     return kExitRuntime;
   }
 
-  auto sk = info.make(a.n, a.alg, a.seed);
-  DriverOptions dopt;
-  dopt.num_workers = sk->EndpointSharded() ? opt.threads : 1;
-  dopt.gutter_bytes = opt.gutter;
-  // Families whose exact answers the eager spanning forest can serve in
-  // O(α) straight from the producer thread (insert-only streams; the
-  // forest invalidates itself on the first deletion it cannot absorb).
-  dopt.eager_connectivity = info.tag == AlgTag::kConnectivity ||
-                            info.tag == AlgTag::kSpanningForest;
-  SketchDriver<LinearSketch> driver(sk.get(), dopt);
-  SnapshotStore store;
-  QueryEngine engine(&store, stdout);
-  std::optional<InsertionTracker> tracker;
-  if (opt.progress) {
-    std::fprintf(stderr, "progress: %u worker%s\n", driver.num_workers(),
-                 driver.num_workers() == 1 ? "" : "s");
-    tracker.emplace(total, [&driver] { return driver.TotalUpdates() / 2; });
+  PipelineOptions popt;
+  popt.num_workers = a.ingest.threads;
+  SessionManager manager(popt);
+  std::string error;
+  lanes[0].session = manager.Create(
+      "", a.info->name, ServeSessionConfig(a, *a.info, a.snapshot_ms),
+      &error);
+  if (lanes[0].session == nullptr) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return kExitRuntime;
   }
-
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point start = Clock::now();
-  auto now_seconds = [&start] {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
-  SnapshotScheduler scheduler(static_cast<double>(a.snapshot_ms) / 1000.0);
-
-  size_t qi = 0;
-  uint64_t pushed = 0;
-  uint64_t snapshots = 0;
-  SnapshotTiming sum{};   // accumulated drain/publish time
-  SnapshotTiming peak{};  // per-snapshot maxima
-  // Serves every boundary that falls at the current position: one
-  // snapshot per position, shared by all queries scripted there. Wall
-  // clock is only consulted every 256 updates (--snapshot-ms tolerance
-  // is far coarser than that; a clock read per push is not).
-  auto serve_boundary = [&] {
-    bool scripted = qi < queries.size() && queries[qi].pos == pushed;
-    bool periodic = a.snapshot_every > 0 && pushed > 0 &&
-                    pushed % a.snapshot_every == 0;
-    bool timed = false;
-    double now = 0;
-    if (a.snapshot_ms > 0 && (pushed & 255u) == 0) {
-      now = now_seconds();
-      timed = scheduler.Due(now);
-    }
-    if (!scripted && !periodic && !timed) return;
-    SnapshotTiming timing;
-    auto snap = PublishSnapshot(&driver, &store, &timing);
-    if (timed) scheduler.Taken(now);
-    ++snapshots;
-    sum.drain_ms += timing.drain_ms;
-    sum.publish_ms += timing.publish_ms;
-    peak.drain_ms = std::max(peak.drain_ms, timing.drain_ms);
-    peak.publish_ms = std::max(peak.publish_ms, timing.publish_ms);
-    if (opt.progress) {
-      std::fprintf(stderr,
-                   "snapshot @%llu: drain %.3f ms, publish %.3f ms\n",
-                   static_cast<unsigned long long>(pushed), timing.drain_ms,
-                   timing.publish_ms);
-    }
-    while (qi < queries.size() && queries[qi].pos == pushed) {
-      engine.Submit(std::move(queries[qi].text), snap);
-      ++qi;
-    }
-  };
-
-  bool ok = ForEachUpdate(in, a.n, total, [&](const EdgeUpdate& e) {
-    serve_boundary();
-    driver.Push(e.u, e.v, e.delta);
-    ++pushed;
-  });
-  driver.Drain();
-  if (ok) serve_boundary();  // end-of-stream queries (pos == total)
-  engine.Finish();
-  if (tracker.has_value()) tracker->Stop();
+  const ServeStats st =
+      ServeLanes(&manager, &lanes, a, total, [&](auto&& push) {
+        return ForEachUpdate(in, a.n, total, [&](const EdgeUpdate& e) {
+          push(0, e.u, e.v, e.delta);
+        });
+      });
   std::fprintf(stderr,
                "served %llu queries (%llu errors) from %llu snapshots over "
                "%llu updates\n",
-               static_cast<unsigned long long>(engine.answered()),
-               static_cast<unsigned long long>(engine.errors()),
-               static_cast<unsigned long long>(snapshots),
-               static_cast<unsigned long long>(pushed));
-  if (snapshots > 0) {
+               static_cast<unsigned long long>(st.answered),
+               static_cast<unsigned long long>(st.errors),
+               static_cast<unsigned long long>(st.snapshots),
+               static_cast<unsigned long long>(st.tokens));
+  if (st.snapshots > 0) {
     std::fprintf(
         stderr,
         "snapshot timing: drain %.3f ms total (max %.3f), publish %.3f ms "
         "total (max %.3f); %llu overdue ticks coalesced, %llu eager "
         "answers\n",
-        sum.drain_ms, peak.drain_ms, sum.publish_ms, peak.publish_ms,
-        static_cast<unsigned long long>(scheduler.coalesced()),
-        static_cast<unsigned long long>(engine.eager_answered()));
+        st.sum.drain_ms, st.peak.drain_ms, st.sum.publish_ms,
+        st.peak.publish_ms, static_cast<unsigned long long>(st.coalesced),
+        static_cast<unsigned long long>(st.eager));
   }
-  return ok ? 0 : kExitRuntime;
+  return st.ok ? 0 : kExitRuntime;
 }
 
 // ---------------------------------------------------- serve (multi) --
@@ -727,21 +827,15 @@ struct MultiOpen {
   uint64_t snapshot_ms = 0;  ///< 0 = inherit the global --snapshot-ms
 };
 
-/// One `@<name> <pos> <query>` line: answer against a snapshot of session
-/// `name` reflecting exactly `pos` of ITS OWN stream tokens — the same
-/// position a solo run of that tenant would script, so answers diff
-/// against solo references modulo the `<name>` prefix.
-struct MultiQuery {
-  uint64_t pos = 0;  ///< per-session position; UINT64_MAX = "end"
-  std::string text;
-};
-
 /// Parses a multi-graph serve script: `open <name> <alg> [--snapshot-ms
 /// M]` lines and `@<name> <pos> <query>` lines ('#' comments and blanks
-/// skipped; 'end' as a position means that session's end of stream).
-bool ParseMultiScript(std::istream& in, const char* fname,
-                      std::vector<MultiOpen>* opens,
-                      std::vector<std::pair<std::string, MultiQuery>>* queries) {
+/// skipped; 'end' as a position means that session's end of stream). A
+/// query's position counts ITS session's own stream tokens — the position
+/// a solo run of that tenant would script, so answers diff against solo
+/// references modulo the `<name>` prefix.
+bool ParseMultiScript(
+    std::istream& in, const char* fname, std::vector<MultiOpen>* opens,
+    std::vector<std::pair<std::string, ServeQuery>>* queries) {
   std::string line;
   size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -782,7 +876,7 @@ bool ParseMultiScript(std::istream& in, const char* fname,
     }
     if (head.size() > 1 && head[0] == '@') {
       std::string name = head.substr(1);
-      MultiQuery q;
+      ServeQuery q;
       if (!ParseScriptQuery(ss, &q.pos, &q.text)) {
         std::fprintf(stderr,
                      "error: %s:%zu: expected '@<name> <pos> <query>' "
@@ -810,16 +904,17 @@ bool ParseMultiScript(std::istream& in, const char* fname,
 /// serve multi: co-hosted query-while-ingest over a GSKT tagged trace.
 /// The script's `open` lines create one session per trace tenant (bound
 /// in open order) on ONE SessionManager — shared worker pool, per-session
-/// gutters/snapshots/answers. Every answer line is `<name>@<pos> <query>
-/// => ...` where pos is the SESSION's own stream position, so each
-/// tenant's answers are byte-identical (modulo the name prefix) to a solo
-/// serve of that tenant's stream — the isolation invariant CI diffs.
+/// gutters/snapshots/answers — and ServeLanes serves them all. Every
+/// answer line is `<name>@<pos> <query> => ...` where pos is the
+/// SESSION's own stream position, so each tenant's answers are
+/// byte-identical (modulo the name prefix) to a solo serve of that
+/// tenant's stream — the isolation invariant CI diffs.
 /// Positionals (after `multi`): <n> <trace.gskt> [seed].
 int RunServeMulti(const Invocation& a) {
-  const NodeId n = a.n;
   const char* trace_path = a.pos[1];
+  if (!ServeInputsOk(trace_path, a.queries, true)) return kExitUsage;
   std::vector<MultiOpen> opens;
-  std::vector<std::pair<std::string, MultiQuery>> scripted;
+  std::vector<std::pair<std::string, ServeQuery>> scripted;
   if (!ParseScript(a.queries, [&](std::istream& s, const char* name) {
         return ParseMultiScript(s, name, &opens, &scripted);
       })) {
@@ -838,10 +933,10 @@ int RunServeMulti(const Invocation& a) {
                  reader.error().c_str());
     return kExitRuntime;
   }
-  if (reader.nodes() != n) {
+  if (reader.nodes() != a.n) {
     std::fprintf(stderr,
                  "error: %s declares n=%u but the command line says n=%u\n",
-                 trace_path, reader.nodes(), n);
+                 trace_path, reader.nodes(), a.n);
     return kExitRuntime;
   }
   if (opens.size() != reader.tenants()) {
@@ -866,53 +961,32 @@ int RunServeMulti(const Invocation& a) {
   std::vector<uint64_t> tenant_total(tenants, 0);
   for (const auto& e : trace) ++tenant_total[e.tenant];
 
-  // Session name -> tenant tag (open order IS tag order).
-  std::vector<std::string> tenant_name(tenants);
-  {
-    std::map<std::string, uint32_t> by_name;
-    for (uint32_t t = 0; t < tenants; ++t) {
-      if (!by_name.emplace(opens[t].name, t).second) {
-        std::fprintf(stderr, "error: session '%s' opened twice\n",
-                     opens[t].name.c_str());
-        return kExitRuntime;
-      }
-      tenant_name[t] = opens[t].name;
+  // One lane per tenant, labeled with its session name (open order IS
+  // tag order); each query joins its session's lane, position clamped.
+  std::vector<ServeLane> lanes(tenants);
+  std::map<std::string, uint32_t> by_name;
+  for (uint32_t t = 0; t < tenants; ++t) {
+    if (!by_name.emplace(opens[t].name, t).second) {
+      std::fprintf(stderr, "error: session '%s' opened twice\n",
+                   opens[t].name.c_str());
+      return kExitRuntime;
     }
-    // Resolve each query's session and clamp its position.
-    for (auto& [name, q] : scripted) {
-      auto it = by_name.find(name);
-      if (it == by_name.end()) {
-        std::fprintf(stderr, "error: query names unopened session '%s'\n",
-                     name.c_str());
-        return kExitRuntime;
-      }
-      uint64_t total = tenant_total[it->second];
-      if (q.pos > total) q.pos = total;
-    }
+    lanes[t].label = opens[t].name;
   }
-  std::vector<std::vector<MultiQuery>> queries(tenants);
   for (auto& [name, q] : scripted) {
-    uint32_t t = 0;
-    while (tenant_name[t] != name) ++t;
-    queries[t].push_back(std::move(q));
+    auto it = by_name.find(name);
+    if (it == by_name.end()) {
+      std::fprintf(stderr, "error: query names unopened session '%s'\n",
+                   name.c_str());
+      return kExitRuntime;
+    }
+    q.pos = std::min(q.pos, tenant_total[it->second]);
+    lanes[it->second].queries.push_back(std::move(q));
   }
-  for (auto& qs : queries) {
-    std::stable_sort(qs.begin(), qs.end(),
-                     [](const MultiQuery& a, const MultiQuery& b) {
-                       return a.pos < b.pos;
-                     });
-  }
-
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point start = Clock::now();
-  auto now_seconds = [&start] {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
 
   PipelineOptions popt;
   popt.num_workers = a.ingest.threads;
   SessionManager manager(popt);
-  std::vector<SketchSession*> sessions(tenants, nullptr);
   for (uint32_t t = 0; t < tenants; ++t) {
     const AlgInfo* info = FindAlg(opens[t].alg);
     if (info == nullptr) {
@@ -920,89 +994,37 @@ int RunServeMulti(const Invocation& a) {
                    opens[t].alg.c_str(), RegistryNameList(", ").c_str());
       return kExitRuntime;
     }
-    SessionConfig cfg;
-    cfg.num_nodes = n;
-    cfg.seed = a.seed;
-    cfg.gutter_bytes = a.ingest.gutter;
-    cfg.eager_connectivity = info->tag == AlgTag::kConnectivity ||
-                             info->tag == AlgTag::kSpanningForest;
-    uint64_t ms = opens[t].snapshot_ms != 0 ? opens[t].snapshot_ms
-                                            : a.snapshot_ms;
-    cfg.snapshot_interval_seconds = static_cast<double>(ms) / 1000.0;
-    cfg.start_seconds = now_seconds();
+    const uint64_t ms =
+        opens[t].snapshot_ms != 0 ? opens[t].snapshot_ms : a.snapshot_ms;
     std::string error;
-    if (manager.Create(opens[t].name, opens[t].alg, cfg, &error) ==
-        nullptr) {
+    lanes[t].session = manager.Create(
+        opens[t].name, opens[t].alg, ServeSessionConfig(a, *info, ms), &error);
+    if (lanes[t].session == nullptr) {
       std::fprintf(stderr, "error: open %s: %s\n", opens[t].name.c_str(),
                    error.c_str());
       return kExitRuntime;
     }
-    sessions[t] = manager.Find(opens[t].name);
   }
 
-  QueryEngine engine(nullptr, stdout);
-  std::vector<uint64_t> pushed(tenants, 0);
-  std::vector<size_t> qi(tenants, 0);
-  uint64_t snapshots = 0;
-  SnapshotTiming sum{};
-
-  // Serves every boundary of tenant `t` at its current position: one
-  // snapshot per position, shared by all queries scripted there (same
-  // policy as single-graph serve). `timed` additionally honors the
-  // session's wall-clock cadence.
-  auto serve_boundary = [&](uint32_t t, bool timed, double now) {
-    SketchSession* s = sessions[t];
-    bool scripted_here =
-        qi[t] < queries[t].size() && queries[t][qi[t]].pos == pushed[t];
-    bool due = timed && s->scheduler().Due(now);
-    if (!scripted_here && !due) return;
-    SnapshotTiming timing;
-    auto snap = s->Publish(&timing);
-    if (due) s->scheduler().Taken(now);
-    ++snapshots;
-    sum.drain_ms += timing.drain_ms;
-    sum.publish_ms += timing.publish_ms;
-    while (qi[t] < queries[t].size() &&
-           queries[t][qi[t]].pos == pushed[t]) {
-      engine.Submit(tenant_name[t], std::move(queries[t][qi[t]].text),
-                    snap);
-      ++qi[t];
-    }
-  };
-
-  uint64_t global = 0;
-  for (const auto& e : trace) {
-    // Wall clock consulted every 256 trace records, as in single serve.
-    bool check_clock = (global & 255u) == 0;
-    double now = check_clock ? now_seconds() : 0;
-    if (check_clock) {
-      for (uint32_t t = 0; t < tenants; ++t) serve_boundary(t, true, now);
-    } else {
-      serve_boundary(e.tenant, false, 0);
-    }
-    sessions[e.tenant]->Push(e.u, e.v, e.delta);
-    ++pushed[e.tenant];
-    ++global;
-  }
-  for (uint32_t t = 0; t < tenants; ++t) {
-    sessions[t]->Drain();
-    serve_boundary(t, false, 0);  // end-of-stream queries
-  }
-  engine.Finish();
+  const ServeStats st = ServeLanes(
+      &manager, &lanes, a, trace.size(), [&](auto&& push) {
+        for (const auto& e : trace) push(e.tenant, e.u, e.v, e.delta);
+        return true;
+      });
   std::fprintf(stderr,
                "served %llu queries (%llu errors) from %llu snapshots "
                "over %llu updates across %u sessions (%zu bytes hosted)\n",
-               static_cast<unsigned long long>(engine.answered()),
-               static_cast<unsigned long long>(engine.errors()),
-               static_cast<unsigned long long>(snapshots),
-               static_cast<unsigned long long>(global), tenants,
+               static_cast<unsigned long long>(st.answered),
+               static_cast<unsigned long long>(st.errors),
+               static_cast<unsigned long long>(st.snapshots),
+               static_cast<unsigned long long>(st.tokens), tenants,
                manager.TotalMemoryBytes());
-  if (snapshots > 0) {
+  if (st.snapshots > 0) {
     std::fprintf(stderr,
                  "snapshot timing: drain %.3f ms total, publish %.3f ms "
                  "total; %llu eager answers\n",
-                 sum.drain_ms, sum.publish_ms,
-                 static_cast<unsigned long long>(engine.eager_answered()));
+                 st.sum.drain_ms, st.sum.publish_ms,
+                 static_cast<unsigned long long>(st.eager));
   }
   return 0;
 }
@@ -1266,42 +1288,52 @@ int RunStats(const Invocation& a) {
   return 0;
 }
 
-/// convert: text -> GSKB binary, or (when the input is already binary)
-/// binary -> text, so `convert; convert` round-trips a stream.
-/// Positionals: <n> <input> <output>.
+/// A GSKB writer for `path`, or for stdout when it is '-'. Stdout may be
+/// a pipe, which cannot seek back to patch the header: that writer holds
+/// the stream until Close() and writes the header with its final count
+/// first.
+std::unique_ptr<BinaryStreamWriter> GskbWriter(const char* path, NodeId n) {
+  if (IsStdio(path)) return std::make_unique<BinaryStreamWriter>(stdout, n);
+  return std::make_unique<BinaryStreamWriter>(path, n);
+}
+
+/// convert: text -> GSKB binary, or (when the bytes read are already
+/// binary) binary -> text, so `convert; convert` round-trips a stream.
+/// '-' reads stdin or writes stdout. Positionals: <n> <input> <output>.
 int RunConvert(const Invocation& a) {
   const NodeId n = a.n;
-  const char* in_path = a.pos[1];
+  const char* in_name = IsStdio(a.pos[1]) ? "<stdin>" : a.pos[1];
   const char* out_path = a.pos[2];
-  const bool to_text = LooksLikeBinaryStream(in_path);
+  const char* out_name = IsStdio(out_path) ? "<stdout>" : out_path;
   DynamicGraphStream stream(n);
-  if (!LoadAnyStream(in_path, n, &stream)) return kExitRuntime;
+  bool to_text = false;
+  if (!LoadAnyStream(a.pos[1], n, &stream, &to_text)) return kExitRuntime;
 
   if (to_text) {
-    std::FILE* out = std::fopen(out_path, "w");
+    std::FILE* out = IsStdio(out_path) ? stdout : std::fopen(out_path, "w");
     if (out == nullptr) {
       std::fprintf(stderr, "error: cannot open %s\n", out_path);
       return kExitRuntime;
     }
-    std::fprintf(out, "# converted from %s (n=%u, %zu updates)\n", in_path,
+    std::fprintf(out, "# converted from %s (n=%u, %zu updates)\n", in_name,
                  n, stream.Size());
     for (const auto& e : stream.Updates()) {
       std::fprintf(out, "%u %u %lld\n", e.u, e.v,
                    static_cast<long long>(e.delta));
     }
-    if (std::fclose(out) != 0) {
-      std::fprintf(stderr, "error: write to %s failed\n", out_path);
+    if ((out == stdout ? std::fflush(out) : std::fclose(out)) != 0) {
+      std::fprintf(stderr, "error: write to %s failed\n", out_name);
       return kExitRuntime;
     }
     std::fprintf(stderr, "wrote %zu updates (text) to %s\n", stream.Size(),
-                 out_path);
+                 out_name);
     return 0;
   }
-  BinaryStreamWriter w(out_path, n);
-  for (const auto& e : stream.Updates()) w.Append(e);
-  uint64_t records = w.updates_written();
-  if (!w.Close()) {
-    std::fprintf(stderr, "error: write to %s failed\n", out_path);
+  auto w = GskbWriter(out_path, n);
+  for (const auto& e : stream.Updates()) w->Append(e);
+  uint64_t records = w->updates_written();
+  if (!w->Close()) {
+    std::fprintf(stderr, "error: write to %s failed\n", out_name);
     return kExitRuntime;
   }
   // Wide deltas split into several i32 wire records, so the file can
@@ -1311,10 +1343,10 @@ int RunConvert(const Invocation& a) {
                  "wrote %zu updates as %llu wire records (GSKB binary, "
                  "wide deltas split) to %s\n",
                  stream.Size(), static_cast<unsigned long long>(records),
-                 out_path);
+                 out_name);
   } else {
     std::fprintf(stderr, "wrote %zu updates (GSKB binary) to %s\n",
-                 stream.Size(), out_path);
+                 stream.Size(), out_name);
   }
   return 0;
 }
@@ -1343,21 +1375,12 @@ int RunGen(const Invocation& a) {
   }
   DynamicGraphStream stream =
       profile->generate(a.n, static_cast<size_t>(updates), a.seed);
-  const bool to_stdout = std::strcmp(a.pos[3], "-") == 0;
-  // Stdout may be a pipe, which cannot seek back to patch the header: the
-  // writer then holds the stream until Close() and writes the header
-  // with its final count first.
-  std::optional<BinaryStreamWriter> w;
-  if (to_stdout) {
-    w.emplace(stdout, a.n);
-  } else {
-    w.emplace(a.pos[3], a.n);
-  }
+  auto w = GskbWriter(a.pos[3], a.n);
   for (const auto& e : stream.Updates()) w->Append(e);
   uint64_t records = w->updates_written();
   if (!w->Close()) {
     std::fprintf(stderr, "error: write to %s failed\n",
-                 to_stdout ? "stdout" : a.pos[3]);
+                 IsStdio(a.pos[3]) ? "stdout" : a.pos[3]);
     return kExitRuntime;
   }
   WorkloadStats stats = ComputeWorkloadStats(stream);
@@ -1380,6 +1403,10 @@ int RunGenMulti(const Invocation& a) {
   uint64_t updates = 0;
   if (!ParseUpdateCount(a.pos[1], &updates)) return kExitUsage;
   const char* out_path = a.pos[2];
+  if (IsStdio(out_path)) {
+    std::fputs(kGsktNoStdio, stderr);
+    return kExitUsage;
+  }
   const uint32_t tenants = a.tenants;
   std::vector<TaggedUpdate> trace = GenerateMultiTenantTrace(
       a.n, static_cast<size_t>(updates), tenants, a.seed);

@@ -220,7 +220,7 @@ void CheckAtomicOrder(const std::string& rel, const std::string& text,
       if (open >= text.size() || text[open] != '(') continue;  // not a call
       std::string args = ArgListAt(text, open);
       // `.store()` with no argument cannot be std::atomic (store takes a
-      // value) — it is an accessor like SketchSession::store().
+      // value) — it can only be an accessor named store().
       bool empty_args = true;
       for (char c : args) {
         if (!std::isspace(static_cast<unsigned char>(c))) {
