@@ -1,7 +1,7 @@
 // Shared helpers for the experiment harness binaries: aligned table
-// printing and wall-clock timing. Each bench regenerates one experiment
-// from DESIGN.md's index (E1-E12) and prints the paper's predicted bound
-// next to the measured value.
+// printing, wall-clock timing and BENCH_<id>.json output. The benches are
+// E1 bench_l0_sampler, E11 bench_distributed, E13 bench_ingest_driver,
+// E14 bench_gutter and E15 bench_serve.
 #ifndef GRAPHSKETCH_BENCH_BENCH_UTIL_H_
 #define GRAPHSKETCH_BENCH_BENCH_UTIL_H_
 

@@ -21,7 +21,9 @@ namespace gsketch {
 
 /// Tuning knobs for MinCutSketch. The paper's constant in
 /// k = O(ε⁻² log n) is far too conservative to execute; `k_scale`
-/// calibrates it (EXPERIMENTS.md sweeps this).
+/// calibrates it. At the registry's k_scale 2 and ε = 0.5 the estimate
+/// falls below λ/(1+ε) on complete-64 for 7 of 40 seeds (the FOUND line
+/// on registered mincut in CHANGES.md).
 struct MinCutOptions {
   double epsilon = 0.25;      ///< target approximation (1 ± ε)
   double k_scale = 2.0;       ///< k = ceil(k_scale · ε⁻² · log2 n)

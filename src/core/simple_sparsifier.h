@@ -23,8 +23,10 @@
 namespace gsketch {
 
 /// Tuning knobs for SimpleSparsifier. The theorem's k = O(ε⁻² log² n)
-/// constant is execution-hostile; `k_scale` calibrates it and the
-/// benchmarks sweep the error-vs-k shape.
+/// constant is execution-hostile; `k_scale` calibrates it. The stat
+/// tier's sparsifier rows (tests/stat_cuts_test.cc) check the registered
+/// defaults, which miss the ε = 0.5 cut bound on complete-32 (see
+/// docs/TESTING.md).
 struct SimpleSparsifierOptions {
   double epsilon = 0.5;     ///< target cut error (1 ± ε)
   double k_scale = 0.25;    ///< k = ceil(k_scale · ε⁻² · log2² n)

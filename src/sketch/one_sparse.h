@@ -12,10 +12,14 @@
 // Cells are 24 bytes. The fingerprint seed lives in the *owning* structure
 // (sampler repetition / recovery row), not the cell: millions of cells
 // share a handful of seeds, and the owner can hash an index once per
-// update batch. `indexw` uses int64; callers must keep
-// Σ_i |i · x_i| < 2^63, which holds for every domain in this library
-// (edge slots C(n,2) with n <= 2^20 and subset columns C(n,k) for the
-// documented n; see DESIGN.md).
+// update batch. `indexw` uses int64, so a cell decodes correctly only
+// while Σ_i |i · x_i| < 2^63 over the indices it summarizes, and nothing
+// enforces that. An edge slot of an n-node graph has i < C(n,2), which
+// caps a cell's total |multiplicity| near 2^63 / C(n,2): about 2^40 at
+// n = 4096 and 2^24 at n = 2^20 (subset columns C(n,k) cap it sooner).
+// Past the cap the sum overflows, the fingerprint rejects the decode, and a
+// sampler reports no sample, so a forest silently drops the edge (the
+// FOUND line on one_sparse.h in CHANGES.md has a CLI repro).
 #ifndef GRAPHSKETCH_SRC_SKETCH_ONE_SPARSE_H_
 #define GRAPHSKETCH_SRC_SKETCH_ONE_SPARSE_H_
 

@@ -112,7 +112,7 @@ class SparseRecovery {
   /// True iff the summarized vector is zero w.h.p.
   bool IsZero() const { return RecoveryCellsIsZero(params_, cells_.data()); }
 
-  /// Number of 1-sparse cells held (space proxy used by the benchmarks).
+  /// Number of 1-sparse cells held (space proxy).
   size_t CellCount() const { return cells_.size(); }
 
   /// Serializes parameters, seed, and cells (Sec 1.1 wire format).

@@ -18,7 +18,6 @@
 #include <iterator>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,6 +36,7 @@
 #include "src/graph/subgraph_census.h"
 #include "src/graph/union_find.h"
 #include "src/workload/stream_generator.h"
+#include "tests/tier_util.h"
 
 namespace gsketch {
 namespace {
@@ -184,27 +184,6 @@ DynamicGraphStream StreamForFamily(const AlgInfo& info,
   DynamicGraphStream copy(stream.NumNodes());
   for (const auto& e : stream.Updates()) copy.Push(e.u, e.v, e.delta);
   return copy;
-}
-
-// Parses the "u v w" edge-list answers (forest, witness, sparsifier).
-Graph ParseEdgeList(const std::string& text, NodeId n) {
-  Graph h(n);
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#' || line[0] == '@') continue;
-    std::istringstream ss(line);
-    NodeId u = 0, v = 0;
-    double w = 0;
-    if (ss >> u >> v >> w) h.AddEdge(u, v, w);
-  }
-  return h;
-}
-
-std::string MustQuery(const LinearSketch& sk, const std::string& q) {
-  std::string out, error;
-  EXPECT_TRUE(sk.Query(q, &out, &error)) << q << ": " << error;
-  return out;
 }
 
 // A structured cut family probing the cuts sparsifiers/witnesses distort

@@ -17,17 +17,6 @@ TEST(L0Sampler, EmptyVectorYieldsNoSample) {
   EXPECT_FALSE(s.Sample().has_value());
 }
 
-TEST(L0Sampler, SingletonAlwaysRecovered) {
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    L0Sampler s(1 << 20, 6, seed);
-    s.Update(777, 5);
-    auto r = s.Sample();
-    ASSERT_TRUE(r.has_value()) << seed;
-    EXPECT_EQ(r->index, 777u);
-    EXPECT_EQ(r->value, 5);
-  }
-}
-
 TEST(L0Sampler, SampleComesFromSupportWithExactValue) {
   L0Sampler s(10000, 8, 3);
   std::map<uint64_t, int64_t> truth;

@@ -4,13 +4,11 @@
 
 #include <tuple>
 
-#include "src/core/k_edge_connect.h"
 #include "src/core/min_cut.h"
 #include "src/core/simple_sparsifier.h"
 #include "src/core/spanning_forest.h"
 #include "src/core/subgraph_patterns.h"
 #include "src/core/subgraph_sketch.h"
-#include "src/graph/cuts.h"
 #include "src/graph/generators.h"
 #include "src/graph/stoer_wagner.h"
 #include "src/graph/stream.h"
@@ -78,39 +76,6 @@ INSTANTIATE_TEST_SUITE_P(
     WorkloadsAndSeeds, ForestProperty,
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
                        ::testing::Values<uint64_t>(1, 2, 3)));
-
-// ---------------------------------------------------------------------
-// Witness invariants: the k-EDGECONNECT witness H satisfies, for every
-// node subset A with |δ(A)| < k, δ_H(A) = δ_G(A) — checked exhaustively
-// on small graphs.
-class WitnessProperty
-    : public ::testing::TestWithParam<std::tuple<uint32_t, uint64_t>> {};
-
-TEST_P(WitnessProperty, SmallCutsPreservedExhaustively) {
-  auto [k, seed] = GetParam();
-  const NodeId n = 12;
-  Graph g = ErdosRenyi(n, 0.35, seed);
-  ForestOptions opt;
-  opt.repetitions = 6;
-  KEdgeConnectSketch sk(n, k, opt, seed * 7 + k);
-  for (const auto& e : g.Edges()) sk.Update(e.u, e.v, 1);
-  Graph h = sk.ExtractWitness();
-  EXPECT_TRUE(g.ContainsEdgesOf(h));
-  for (const auto& side : EnumerateAllCuts(n)) {
-    double cut_g = CutValue(g, side);
-    if (cut_g < k) {
-      EXPECT_DOUBLE_EQ(CutValue(h, side), cut_g)
-          << "a <k cut lost an edge (k=" << k << ")";
-    } else {
-      EXPECT_GE(CutValue(h, side), static_cast<double>(k));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    KAndSeeds, WitnessProperty,
-    ::testing::Combine(::testing::Values<uint32_t>(2, 3, 5),
-                       ::testing::Values<uint64_t>(1, 2, 3, 4)));
 
 // ---------------------------------------------------------------------
 // MINCUT never reports below the true min cut when resolved at level 0,
