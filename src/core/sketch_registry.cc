@@ -18,18 +18,6 @@
 
 namespace gsketch {
 
-namespace {
-
-// ------------------------------------------------- query plumbing --
-
-std::vector<std::string> QueryTokens(const std::string& q) {
-  std::istringstream ss(q);
-  std::vector<std::string> out;
-  std::string tok;
-  while (ss >> tok) out.push_back(tok);
-  return out;
-}
-
 bool ParseQueryNode(const std::string& tok, NodeId n, NodeId* out,
                     std::string* error) {
   errno = 0;
@@ -44,6 +32,18 @@ bool ParseQueryNode(const std::string& tok, NodeId n, NodeId* out,
   }
   *out = static_cast<NodeId>(v);
   return true;
+}
+
+namespace {
+
+// ------------------------------------------------- query plumbing --
+
+std::vector<std::string> QueryTokens(const std::string& q) {
+  std::istringstream ss(q);
+  std::vector<std::string> out;
+  std::string tok;
+  while (ss >> tok) out.push_back(tok);
+  return out;
 }
 
 std::string FormatDouble(const char* fmt, double v) {

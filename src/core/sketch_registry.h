@@ -211,6 +211,13 @@ struct AlgInfo {
   std::unique_ptr<LinearSketch> (*deserialize)(ByteReader* r);
 };
 
+/// Parses a query's node argument: the whole token a decimal integer
+/// below `n`. False otherwise, with `*error` (when non-null) set to the
+/// adapters' error text. The one node parse of every Query() and of the
+/// eager-cut fast path (src/driver/snapshot.h).
+bool ParseQueryNode(const std::string& tok, NodeId n, NodeId* out,
+                    std::string* error);
+
 /// The exact text LinearSketch::PrintAnswer would write, as a string (the
 /// "answer" query and the serve path both funnel through this).
 std::string AnswerString(const LinearSketch& sk);

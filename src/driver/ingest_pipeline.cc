@@ -49,7 +49,6 @@ IngestPipeline::SessionId IngestPipeline::Attach(
     ch->eager = std::make_unique<EagerForest>(copt.eager_nodes);
   }
   channels_.push_back(std::move(ch));
-  ++live_channels_;
   return sid;
 }
 
@@ -58,7 +57,6 @@ void IngestPipeline::Detach(SessionId sid) {
   if (ch == nullptr) return;
   DrainChannel(ch);
   channels_[sid].reset();  // in-flight WorkItems keep the counters alive
-  --live_channels_;
 }
 
 IngestPipeline::Channel* IngestPipeline::Get(SessionId sid) const {

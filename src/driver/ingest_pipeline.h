@@ -197,9 +197,6 @@ class IngestPipeline {
     return producer_applied_.load(std::memory_order_relaxed);
   }
 
-  /// Channels currently attached.
-  size_t num_sessions() const { return live_channels_; }
-
  private:
   // All private per-session state. Work items hold a shared_ptr to their
   // channel so a worker's post-apply counter peek stays valid even if the
@@ -273,7 +270,6 @@ class IngestPipeline {
   // Producer-side mutation only; workers never touch this vector (their
   // channel arrives inside the work item).
   std::vector<std::shared_ptr<Channel>> channels_;
-  size_t live_channels_ = 0;
   std::vector<std::thread> threads_;
   std::unique_ptr<std::atomic<uint64_t>[]> worker_applied_;  // per worker
   std::atomic<uint64_t> producer_applied_{0};

@@ -1,8 +1,6 @@
 #include "src/driver/snapshot.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -75,32 +73,16 @@ std::shared_ptr<const SketchSnapshot> PublishSnapshot(
                          store, timing);
 }
 
-namespace {
-
-// Mirrors the registry adapters' ParseQueryNode accept condition exactly;
-// anything it rejects falls through to the sketch path for the canonical
-// error text.
-bool EagerParseNode(const std::string& tok, size_t n, NodeId* out) {
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (errno != 0 || end == tok.c_str() || *end != '\0' || v >= n) {
-    return false;
-  }
-  *out = static_cast<NodeId>(v);
-  return true;
+bool EagerCutServes(AlgTag tag) {
+  return tag == AlgTag::kConnectivity || tag == AlgTag::kSpanningForest;
 }
-
-}  // namespace
 
 std::optional<std::string> EagerAnswer(const EagerCut& cut, AlgTag tag,
                                        const std::string& query) {
   // Only the families whose adapters expose these verbs with these
   // shapes; intercepting a verb the sketch path would reject would change
   // serve output.
-  if (tag != AlgTag::kConnectivity && tag != AlgTag::kSpanningForest) {
-    return std::nullopt;
-  }
+  if (!EagerCutServes(tag)) return std::nullopt;
   std::istringstream ss(query);
   std::vector<std::string> t;
   std::string tok;
@@ -115,9 +97,12 @@ std::optional<std::string> EagerAnswer(const EagerCut& cut, AlgTag tag,
       return std::string(cut.components == 1 ? "yes" : "no");
     }
     if (t.size() != 3) return std::nullopt;  // sketch path emits the error
+    // The adapters' own node parse: whatever it rejects falls through to
+    // the sketch path for the canonical error text.
+    const NodeId n = static_cast<NodeId>(cut.num_nodes());
     NodeId u = 0, v = 0;
-    if (!EagerParseNode(t[1], cut.num_nodes(), &u) ||
-        !EagerParseNode(t[2], cut.num_nodes(), &v)) {
+    if (!ParseQueryNode(t[1], n, &u, nullptr) ||
+        !ParseQueryNode(t[2], n, &v, nullptr)) {
       return std::nullopt;
     }
     return std::string(cut.Connected(u, v) ? "yes" : "no");
@@ -125,10 +110,8 @@ std::optional<std::string> EagerAnswer(const EagerCut& cut, AlgTag tag,
   return std::nullopt;
 }
 
-SnapshotScheduler::SnapshotScheduler(double interval_seconds,
-                                     double start_seconds)
-    : interval_(interval_seconds),
-      next_(start_seconds + interval_seconds) {}
+SnapshotScheduler::SnapshotScheduler(double interval_seconds)
+    : interval_(interval_seconds), next_(interval_seconds) {}
 
 bool SnapshotScheduler::Due(double now_seconds) const {
   return interval_ > 0 && now_seconds >= next_;

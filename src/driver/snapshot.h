@@ -129,6 +129,11 @@ std::shared_ptr<const SketchSnapshot> PublishSnapshot(
     SketchDriver<LinearSketch>* driver, SnapshotStore* store,
     SnapshotTiming* timing = nullptr);
 
+/// True for the families whose sketch path answers "components" and
+/// "connected u v" — connectivity and forest — so an eager cut can answer
+/// them instead. Serve turns the eager forest on for exactly these.
+bool EagerCutServes(AlgTag tag);
+
 /// Answers `query` from an exact eager cut when (a) the family (`tag`)
 /// would accept exactly this query shape on its sketch path and (b) the
 /// cut can serve it: "components", "connected u v", and — connectivity
@@ -144,14 +149,15 @@ std::optional<std::string> EagerAnswer(const EagerCut& cut, AlgTag tag,
 /// through collapse into the single snapshot that is already due next,
 /// instead of queueing a backlog of stale captures (the pre-COW 100 ms
 /// sweep in BENCH_E15 spent more time working off that backlog than
-/// ingesting). Single-threaded, driven from the ingest loop.
+/// ingesting). Single-threaded, driven from the ingest loop. Its one
+/// caller is E15's cadence sweep (bench/bench_serve.cc); serve captures
+/// only where a query reads.
 class SnapshotScheduler {
  public:
   /// Wall-clock cadence of `interval_seconds` (<= 0 disables); the first
-  /// tick is due at `start_seconds + interval_seconds`. Times come from
-  /// any monotone clock the caller likes.
-  explicit SnapshotScheduler(double interval_seconds,
-                             double start_seconds = 0);
+  /// tick is due at `interval_seconds`. Times come from any monotone clock
+  /// that starts at 0 when the cadence does.
+  explicit SnapshotScheduler(double interval_seconds);
 
   /// True when at least one tick is overdue at `now_seconds`.
   bool Due(double now_seconds) const;

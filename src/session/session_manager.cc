@@ -23,10 +23,6 @@ SketchSession* SessionManager::Create(const std::string& name,
                                       const std::string& alg,
                                       const SessionConfig& cfg,
                                       std::string* error) {
-  if (sessions_.count(name) != 0) {
-    if (error != nullptr) *error = "session '" + name + "' already open";
-    return nullptr;
-  }
   const AlgInfo* info = FindAlg(alg);
   if (info == nullptr) {
     if (error != nullptr) {
@@ -35,35 +31,19 @@ SketchSession* SessionManager::Create(const std::string& name,
     }
     return nullptr;
   }
-  if (pipeline_.num_workers() > 1 && !info->endpoint_sharded) {
-    if (error != nullptr) {
-      *error = std::string(info->name) +
-               " does not support multi-worker ingestion (sharded: " +
-               ShardedAlgNameList() + ")";
-    }
-    return nullptr;
-  }
-  std::unique_ptr<LinearSketch> sketch =
-      info->make(cfg.num_nodes, cfg.options, cfg.seed);
-  auto session = std::unique_ptr<SketchSession>(new SketchSession(
-      name, info, std::move(sketch), &pipeline_, cfg));
   ChannelOptions copt;
   copt.gutter_bytes = cfg.gutter_bytes;
-  if (cfg.eager_connectivity) {
-    copt.eager_nodes = session->sketch_->num_nodes();
-  }
-  session->sid_ = pipeline_.Attach(&session->sink_, copt);
-  return (sessions_[name] = std::move(session)).get();
+  if (cfg.eager_connectivity) copt.eager_nodes = cfg.num_nodes;
+  return Open(
+      name, *info,
+      [&] { return info->make(cfg.num_nodes, cfg.options, cfg.seed); }, copt,
+      error);
 }
 
 SketchSession* SessionManager::OpenCheckpoint(const std::string& name,
                                               const std::string& path,
                                               const SessionConfig& cfg,
                                               std::string* error) {
-  if (sessions_.count(name) != 0) {
-    if (error != nullptr) *error = "session '" + name + "' already open";
-    return nullptr;
-  }
   auto ckpt = ReadCheckpointFile(path, error);
   if (!ckpt.has_value()) return nullptr;
   if ((ckpt->flags & kCheckpointFlagShard) != 0) {
@@ -76,26 +56,35 @@ SketchSession* SessionManager::OpenCheckpoint(const std::string& name,
   }
   std::unique_ptr<LinearSketch> sketch = RestoreSketch(*ckpt, error);
   if (sketch == nullptr) return nullptr;
-  const AlgInfo* info = FindAlg(ckpt->alg);
-  if (info == nullptr) {
-    if (error != nullptr) *error = path + ": unregistered algorithm tag";
-    return nullptr;
-  }
-  if (pipeline_.num_workers() > 1 && !info->endpoint_sharded) {
-    if (error != nullptr) {
-      *error = std::string(info->name) +
-               " does not support multi-worker ingestion (sharded: " +
-               ShardedAlgNameList() + ")";
-    }
-    return nullptr;
-  }
-  auto session = std::unique_ptr<SketchSession>(new SketchSession(
-      name, info, std::move(sketch), &pipeline_, cfg));
   ChannelOptions copt;
   copt.gutter_bytes = cfg.gutter_bytes;
   // No eager forest: it needs the full edge history, which a checkpoint
   // does not carry (queries fall back to sketch decoding).
   copt.initial_stream_pos = ckpt->stream_pos;
+  // RestoreSketch succeeded, so the tag is registered.
+  return Open(
+      name, *FindAlg(ckpt->alg), [&] { return std::move(sketch); }, copt,
+      error);
+}
+
+SketchSession* SessionManager::Open(
+    const std::string& name, const AlgInfo& info,
+    const std::function<std::unique_ptr<LinearSketch>()>& make,
+    const ChannelOptions& copt, std::string* error) {
+  if (sessions_.count(name) != 0) {
+    if (error != nullptr) *error = "session '" + name + "' already open";
+    return nullptr;
+  }
+  if (pipeline_.num_workers() > 1 && !info.endpoint_sharded) {
+    if (error != nullptr) {
+      *error = std::string(info.name) +
+               " does not support multi-worker ingestion (sharded: " +
+               ShardedAlgNameList() + ")";
+    }
+    return nullptr;
+  }
+  auto session = std::unique_ptr<SketchSession>(
+      new SketchSession(name, &info, make(), &pipeline_));
   session->sid_ = pipeline_.Attach(&session->sink_, copt);
   return (sessions_[name] = std::move(session)).get();
 }

@@ -8,13 +8,14 @@
 //   SessionManager
 //   ├── IngestPipeline (shared: workers, queues, drain barrier, stripes)
 //   ├── "social"  → SketchSession { connectivity sketch, gutters,
-//   │                               scheduler, channel 0 }
+//   │                               eager forest, channel 0 }
 //   ├── "roads"   → SketchSession { mst sketch, ..., channel 1 }
 //   └── "billing" → SketchSession { kconnect sketch, ..., channel 2 }
 //
 // `gsketch_cli serve` runs every graph this way: `serve multi` opens one
 // session per trace tenant, and single-graph `serve` is one session with
-// an empty label.
+// an empty label. A session captures only when its caller publishes:
+// serve publishes at the stream positions its script queries.
 //
 // Isolation invariant (tests/session_test.cc): sessions apply to disjoint
 // sketch objects, so each tenant's sketch bytes and query answers under
@@ -34,6 +35,7 @@
 #define GRAPHSKETCH_SRC_SESSION_SESSION_MANAGER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -58,9 +60,9 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   /// Creates a fresh session `name` running registry family `alg`.
-  /// Returns nullptr with `*error` set when the name is taken, the family
-  /// is unknown, or the config is rejected (multi-worker ingestion of a
-  /// non-sharded family). The session pointer stays valid until Close.
+  /// Returns nullptr with `*error` set when the family is unknown, the
+  /// name is taken, or the config is rejected (multi-worker ingestion of
+  /// a non-sharded family). The session pointer stays valid until Close.
   SketchSession* Create(const std::string& name, const std::string& alg,
                         const SessionConfig& cfg, std::string* error);
 
@@ -68,7 +70,7 @@ class SessionManager {
   /// and resumes the stream position, so pushing the remaining suffix
   /// reproduces an uninterrupted run bit-identically. `cfg`'s
   /// sketch-construction fields are ignored (the checkpoint decides);
-  /// channel and cadence fields apply. Shard checkpoints are refused (a
+  /// its gutter size applies. Shard checkpoints are refused (a
   /// session resume replays a suffix, which a non-prefix checkpoint
   /// cannot support), as is eager_connectivity (the forest needs the full
   /// edge history, which a checkpoint does not carry).
@@ -102,6 +104,15 @@ class SessionManager {
   IngestPipeline& pipeline() { return pipeline_; }
 
  private:
+  /// The steps Create and OpenCheckpoint share: refuses a taken `name`
+  /// and a family (`info`) this pool's workers cannot share, then wraps
+  /// the sketch `make` returns in a session whose channel attaches with
+  /// `copt`.
+  SketchSession* Open(
+      const std::string& name, const AlgInfo& info,
+      const std::function<std::unique_ptr<LinearSketch>()>& make,
+      const ChannelOptions& copt, std::string* error);
+
   IngestPipeline pipeline_;
   std::map<std::string, std::unique_ptr<SketchSession>> sessions_;
 };

@@ -1,10 +1,12 @@
 // One hosted tenant: a named registry sketch plus everything private to
-// serving it — the ingest channel on the shared pipeline, the snapshot
-// cadence, the optional eager forest, and the checkpoint identity needed
-// to close and reopen the session later.
+// serving it — the ingest channel on the shared pipeline, the optional
+// eager forest, and the checkpoint identity needed to close and reopen
+// the session later.
 //
-// A SketchSession never owns threads, and it holds no snapshots. All
-// ingestion machinery lives in the SessionManager's shared IngestPipeline
+// A SketchSession never owns threads, holds no snapshots and keeps no
+// clock: it captures when its caller asks (a serve run asks exactly at
+// the stream positions its script queries). All ingestion machinery
+// lives in the SessionManager's shared IngestPipeline
 // (src/driver/ingest_pipeline.h); the session is the per-tenant state a
 // channel carries plus the serving state built on top. Publish hands each
 // capture to its caller, and the queries pinned to it own it from there.
@@ -38,12 +40,6 @@ struct SessionConfig {
   /// Per-node gutter bytes; values below one 12-byte entry clamp to one.
   size_t gutter_bytes = kDefaultGutterBytes;
   bool eager_connectivity = false;  ///< exact DSU fast path at Push time
-  /// Periodic snapshot cadence for this session, in seconds; <= 0 means
-  /// snapshots happen only on demand (scripted `snapshot` / query pins).
-  double snapshot_interval_seconds = 0;
-  /// Clock value "now" for the scheduler's first tick (same monotone
-  /// clock the serve loop passes to Due/Taken).
-  double start_seconds = 0;
 };
 
 /// One named tenant (see file comment). Created only by SessionManager;
@@ -56,9 +52,6 @@ class SketchSession {
   const std::string& name() const { return name_; }
   const AlgInfo& info() const { return *info_; }
   const LinearSketch& sketch() const { return *sketch_; }
-
-  /// This session's periodic-snapshot cadence (producer-side).
-  SnapshotScheduler& scheduler() { return scheduler_; }
 
   /// Routes one stream token into this session's channel. Producer-side.
   void Push(NodeId u, NodeId v, int64_t delta) {
@@ -108,13 +101,12 @@ class SketchSession {
 
   SketchSession(std::string name, const AlgInfo* info,
                 std::unique_ptr<LinearSketch> sketch,
-                IngestPipeline* pipeline, const SessionConfig& cfg)
+                IngestPipeline* pipeline)
       : name_(std::move(name)),
         info_(info),
         sketch_(std::move(sketch)),
         sink_(sketch_.get()),
-        pipeline_(pipeline),
-        scheduler_(cfg.snapshot_interval_seconds, cfg.start_seconds) {}
+        pipeline_(pipeline) {}
 
   std::string name_;
   const AlgInfo* info_;
@@ -122,7 +114,6 @@ class SketchSession {
   AlgIngestSink<LinearSketch> sink_;
   IngestPipeline* pipeline_;
   IngestPipeline::SessionId sid_ = 0;  // set by SessionManager on attach
-  SnapshotScheduler scheduler_;
 };
 
 }  // namespace gsketch

@@ -325,8 +325,8 @@ __attribute__((target("avx512f,avx512dq"))) void L0RepAvx512(
   // Survivors, compacted with full 8-lane stores: the last store may run
   // 7 lanes past the last survivor.
   uint64_t s_words[kL0RepMaxIds + 8];
-  int64_t s_deltas[kL0RepMaxIds + 8];
-  int64_t s_weights[kL0RepMaxIds + 8];
+  uint64_t s_deltas[kL0RepMaxIds + 8];
+  uint64_t s_weights[kL0RepMaxIds + 8];
   uint64_t s_terms[kL0RepMaxIds + 8];
   size_t survivors = 0;
   for (size_t i = 0; i < count; i += 8) {
@@ -381,11 +381,12 @@ __attribute__((target("avx512f,avx512dq"))) void L0RepAvx512(
   AddLaneSums(level1, &rep_cells[1]);
   if (survivors == 0) return;
   // Suffix-sum scatter of the survivors over levels 2..top, in plain
-  // arrays so only those levels are zeroed.
+  // arrays so only those levels are zeroed. The sums wrap mod 2^64, like
+  // the lanes and the cells.
   const uint32_t top =
       63u - static_cast<uint32_t>(__builtin_clzll(LaneOr(deepest)));
-  int64_t acc_count[kMaxAccLevels];
-  int64_t acc_weight[kMaxAccLevels];
+  uint64_t acc_count[kMaxAccLevels];
+  uint64_t acc_weight[kMaxAccLevels];
   uint64_t acc_print[kMaxAccLevels];
   for (uint32_t l = 2; l <= top; ++l) {
     acc_count[l] = 0;
@@ -404,7 +405,8 @@ __attribute__((target("avx512f,avx512dq"))) void L0RepAvx512(
     acc_print[l - 1] = AddMod61(acc_print[l - 1], acc_print[l]);
   }
   for (uint32_t l = 2; l <= top; ++l) {
-    rep_cells[l].AddSums(acc_count[l], acc_weight[l], acc_print[l]);
+    rep_cells[l].AddSums(static_cast<int64_t>(acc_count[l]),
+                         static_cast<int64_t>(acc_weight[l]), acc_print[l]);
   }
 }
 

@@ -12,8 +12,11 @@
 // Cells are 24 bytes. The fingerprint seed lives in the *owning* structure
 // (sampler repetition / recovery row), not the cell: millions of cells
 // share a handful of seeds, and the owner can hash an index once per
-// update batch. `indexw` uses int64, so a cell decodes correctly only
-// while Σ_i |i · x_i| < 2^63 over the indices it summarizes, and nothing
+// update batch. `count` and `indexw` are int64 sums kept mod 2^64: they
+// add in uint64, so an overflow wraps the same way in every cell method
+// and in the vector kernels' lanes (src/sketch/cell_kernels.h) and is
+// never signed-overflow UB. A cell decodes correctly only while
+// Σ_i |i · x_i| < 2^63 over the indices it summarizes, and nothing
 // enforces that. An edge slot of an n-node graph has i < C(n,2), which
 // caps a cell's total |multiplicity| near 2^63 / C(n,2): about 2^40 at
 // n = 4096 and 2^24 at n = 2^20 (subset columns C(n,k) cap it sooner).
@@ -55,8 +58,8 @@ class OneSparseCell {
   /// Applies x[index] += delta, where finger == FingerOf(seed, index) for
   /// the owner's seed.
   void Update(uint64_t index, int64_t delta, uint64_t finger) {
-    count_ += delta;
-    index_weight_ += static_cast<int64_t>(index) * delta;
+    count_ += static_cast<uint64_t>(delta);
+    index_weight_ += index * static_cast<uint64_t>(delta);
     print_ = AddMod61(print_, MulMod61(ResidueOf(delta), finger));
   }
 
@@ -65,8 +68,8 @@ class OneSparseCell {
   /// cores compute the term once per (update, repetition) and reuse it
   /// across every level the update survives to.
   void ApplyTerm(uint64_t index, int64_t delta, uint64_t term) {
-    count_ += delta;
-    index_weight_ += static_cast<int64_t>(index) * delta;
+    count_ += static_cast<uint64_t>(delta);
+    index_weight_ += index * static_cast<uint64_t>(delta);
     print_ = AddMod61(print_, term);
   }
 
@@ -74,14 +77,16 @@ class OneSparseCell {
   /// (reduced mod 2^61 - 1) over some updates — in one step. Vector cores
   /// that sum a level's updates outside the cell add them with one call.
   void AddSums(int64_t count, int64_t index_weight, uint64_t print) {
-    count_ += count;
-    index_weight_ += index_weight;
+    count_ += static_cast<uint64_t>(count);
+    index_weight_ += static_cast<uint64_t>(index_weight);
     print_ = AddMod61(print_, print);
   }
 
   /// Adds another cell with the same owner seed (linearity).
   void Merge(const OneSparseCell& other) {
-    AddSums(other.count_, other.index_weight_, other.print_);
+    count_ += other.count_;
+    index_weight_ += other.index_weight_;
+    print_ = AddMod61(print_, other.print_);
   }
 
   /// Subtracts another cell with the same owner seed.
@@ -109,14 +114,14 @@ class OneSparseCell {
 
   /// Appends the cell's three linear measurements to the wire format.
   void AppendTo(ByteWriter* w) const {
-    w->I64(count_);
-    w->I64(index_weight_);
+    w->U64(count_);
+    w->U64(index_weight_);
     w->U64(print_);
   }
 
   /// Reads a cell back; returns false on truncation.
   bool ParseFrom(ByteReader* r) {
-    auto c = r->I64(), iw = r->I64();
+    auto c = r->U64(), iw = r->U64();
     auto p = r->U64();
     if (!c || !iw || !p) return false;
     count_ = *c;
@@ -126,8 +131,8 @@ class OneSparseCell {
   }
 
  private:
-  int64_t count_ = 0;
-  int64_t index_weight_ = 0;
+  uint64_t count_ = 0;         ///< Σ x_i, an int64 kept mod 2^64
+  uint64_t index_weight_ = 0;  ///< Σ i·x_i, an int64 kept mod 2^64
   uint64_t print_ = 0;
 };
 

@@ -318,18 +318,17 @@ TEST_F(Cli, GenMultiAndServeMulti) {
   // The script on stdin, one session per tenant in tag order.
   EXPECT_RUN(Sh("gsketch serve multi 64 multi.gskt 7", Read("multi.q")), 0,
              answers, kAnyErr);
-  // Periodic captures count each session's own tokens: a at 100..1000 and
-  // b at 100..1000 plus its scripted 250, so 21 captures in all.
-  Outcome periodic = Sh(
-      "gsketch serve multi 64 multi.gskt 7 --queries multi.q "
-      "--snapshot-every 100 --progress");
-  EXPECT_RUN(periodic, 0, answers, kAnyErr);
-  EXPECT_NE(periodic.err.find("progress: 1 worker\n"), std::string::npos)
-      << periodic.err;
-  EXPECT_NE(periodic.err.find("served 4 queries (0 errors) from 21 "
+  // A capture is taken only where a query reads: a@500, a@end, b@250 and
+  // b@end, so 4 captures in all.
+  Outcome progress = Sh(
+      "gsketch serve multi 64 multi.gskt 7 --queries multi.q --progress");
+  EXPECT_RUN(progress, 0, answers, kAnyErr);
+  EXPECT_NE(progress.err.find("progress: 1 worker\n"), std::string::npos)
+      << progress.err;
+  EXPECT_NE(progress.err.find("served 4 queries (0 errors) from 4 "
                               "snapshots over 2000 updates"),
             std::string::npos)
-      << periodic.err;
+      << progress.err;
 }
 
 // '-' names stdin for the stream and for --queries, stdin feeds only one
@@ -368,7 +367,7 @@ TEST_F(Cli, ServeAnswersScriptedPositions) {
              connectivity, kAnyErr);
   Write("q.txt", script);
   EXPECT_RUN(Sh("gsketch serve connectivity 6 s.gskb --queries q.txt "
-                "--snapshot-every 2 --threads 2 --gutter 64"),
+                "--threads 2 --gutter 64"),
              0, connectivity, kAnyErr);
   // The stream itself on stdin, the script from a file.
   EXPECT_RUN(Sh("gsketch serve forest 6 - --queries q.txt", Read("s.gskb")),
@@ -385,6 +384,11 @@ TEST_F(Cli, ServeAnswersScriptedPositions) {
   EXPECT_RUN(Sh("gsketch serve multi 6 s.gskb", "3 components\n"), 1, "",
              "error: <stdin>:1: expected 'open ...' or '@<name> ...', got "
              "'3 components'\n");
+  EXPECT_RUN(Sh("gsketch serve multi 6 s.gskb",
+                "open a connectivity --snapshot-ms 5\n"),
+             1, "",
+             "error: <stdin>:1: expected 'open <name> <alg>', got 'open a "
+             "connectivity --snapshot-ms 5'\n");
 }
 
 TEST_F(Cli, CheckpointResumeInspect) {
@@ -492,11 +496,7 @@ TEST_F(Cli, UsageErrorsExitTwo) {
       {"gsketch triangles 6 s.txt --threads 2", kIngestScope},
       {"gsketch triangles 6 s.txt --progress", kIngestScope},
       {"gsketch connectivity 6 s.txt --queries q",
-       "error: --queries/--snapshot-every/--snapshot-ms apply "
-       "only to serve\n"},
-      {"gsketch connectivity 6 s.txt --snapshot-ms 5",
-       "error: --queries/--snapshot-every/--snapshot-ms apply "
-       "only to serve\n"},
+       "error: --queries applies only to serve\n"},
       {"gsketch connectivity 6 s.txt --tenants 2",
        "error: --tenants applies only to gen multi\n"},
       {"gsketch serve connectivity 6 s.txt --at 3",
@@ -511,8 +511,7 @@ TEST_F(Cli, UsageErrorsExitTwo) {
       {"gsketch serve nosuch 6 s.txt",
        "error: unknown serve alg 'nosuch' " KNOWN_ALGS},
       {"gsketch checkpoint connectivity 6 s.txt c.gskc --queries q",
-       "error: --queries/--snapshot-every/--snapshot-ms apply "
-       "only to serve\n"},
+       "error: --queries applies only to serve\n"},
       {"gsketch checkpoint connectivity 6 s.txt c.gskc --tenants 2",
        "error: --tenants applies only to gen multi\n"},
       {"gsketch checkpoint connectivity 6 s.txt c.gskc --shards 2",
@@ -527,9 +526,8 @@ TEST_F(Cli, UsageErrorsExitTwo) {
        "error: --k applies only to kconnect/kedge\n"},
       {"gsketch resume s.txt c.gskc --shards 2",
        "error: --shards applies only to shard\n"},
-      {"gsketch resume s.txt c.gskc --snapshot-every 2",
-       "error: --queries/--snapshot-every/--snapshot-ms apply "
-       "only to serve\n"},
+      {"gsketch resume s.txt c.gskc --queries q",
+       "error: --queries applies only to serve\n"},
       {"gsketch resume s.txt c.gskc --tenants 2",
        "error: --tenants applies only to gen multi\n"},
       {"gsketch shard connectivity 6 s.txt p",
@@ -541,8 +539,7 @@ TEST_F(Cli, UsageErrorsExitTwo) {
        "per-stream ingestion; shard parallelism comes from "
        "--shards\n"},
       {"gsketch shard connectivity --shards 2 6 s.txt p --queries q",
-       "error: --queries/--snapshot-every/--snapshot-ms apply "
-       "only to serve\n"},
+       "error: --queries applies only to serve\n"},
       {"gsketch shard connectivity --shards 2 6 s.txt p --tenants 2",
        "error: --tenants applies only to gen multi\n"},
       {"gsketch shard connectivity --shards 2 6 s.txt p --k 2",
@@ -578,14 +575,15 @@ TEST_F(Cli, UsageErrorsExitTwo) {
        "error: --max-weight applies only to wsparsify\n"},
       {"gsketch convert 6 s.txt o.gskb --tenants 2",
        "error: --tenants applies only to gen multi\n"},
-      {"gsketch convert 6 s.txt o.gskb --snapshot-every 2",
-       "error: --queries/--snapshot-every/--snapshot-ms apply "
-       "only to serve\n"},
+      {"gsketch convert 6 s.txt o.gskb --queries q",
+       "error: --queries applies only to serve\n"},
       {"gsketch spanner 6 s.txt --threads 2", kIngestScope},
       {"gsketch stats 6 s.txt --k 2",
        "error: --k applies only to kconnect/kedge\n"},
       {"gsketch stats 6 s.txt --tenants 2",
        "error: --tenants applies only to gen multi\n"},
+      {"gsketch stats 6 s.txt --queries q",
+       "error: --queries applies only to serve\n"},
       {"gsketch connectivity 6 s.txt --frob",
        "error: unknown option '--frob'\n"},
       {"gsketch connectivity 1 s.txt",
@@ -605,10 +603,10 @@ TEST_F(Cli, UsageErrorsExitTwo) {
        "error: --at needs a non-negative integer\n"},
       {"gsketch serve connectivity 6 s.txt --queries",
        "error: --queries needs a file path\n"},
-      {"gsketch serve connectivity 6 s.txt --snapshot-every 0",
-       "error: --snapshot-every needs a positive integer\n"},
-      {"gsketch serve connectivity 6 s.txt --snapshot-ms x",
-       "error: --snapshot-ms needs a positive integer\n"},
+      {"gsketch serve connectivity 6 s.txt --snapshot-every 2",
+       "error: unknown option '--snapshot-every'\n"},
+      {"gsketch serve connectivity 6 s.txt --snapshot-ms 5",
+       "error: unknown option '--snapshot-ms'\n"},
       {"gsketch wsparsify 6 s.txt --max-weight 0",
        "error: --max-weight needs an integer in [1, 2^32]\n"},
       {"gsketch gen multi --tenants 1 6 10 o.gskt",

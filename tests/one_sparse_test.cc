@@ -1,6 +1,13 @@
 // Tests for the 1-sparse decoding cell.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "src/hash/splitmix.h"
+#include "src/sketch/cell_kernels.h"
 #include "src/sketch/one_sparse.h"
 
 namespace gsketch {
@@ -135,6 +142,60 @@ TEST(OneSparse, ManyEntriesNeverFalselyDecode) {
     }
     EXPECT_FALSE(c.Decode(kSeed).has_value()) << trial;
   }
+}
+
+// A hostile cell (a GSKC payload with a valid checksum can carry any
+// bytes): count -1 with index weight INT64_MIN would divide INT64_MIN by
+// -1, which traps. No 1-sparse vector sums to it, so it does not decode.
+TEST(OneSparse, MinIndexWeightOverMinusOneDoesNotDecode) {
+  OneSparseCell c;
+  c.AddSums(-1, std::numeric_limits<int64_t>::min(), 1);
+  EXPECT_FALSE(c.IsZero());
+  EXPECT_FALSE(c.Decode(kSeed).has_value());
+}
+
+// index·delta past 2^63 (EdgeId(4094, 4095) times a delta of 2·10^12)
+// wraps mod 2^64 the same way through OneSparseCell::Update and through
+// every kernel backend, sums of overflowing terms included; the
+// fingerprint then rejects the wrapped cell.
+TEST(OneSparse, IndexWeightPastInt64WrapsAlikeInCellsAndKernels) {
+  const uint64_t index = 8386559;
+  const int64_t delta = 2000000000000;
+  ASSERT_GT(static_cast<double>(index) * static_cast<double>(delta),
+            9.3e18);
+  const std::vector<uint64_t> ids = {index, index, 5, index};
+  const std::vector<int64_t> deltas = {delta, delta, -delta, -1};
+  const uint64_t finger_base = Mix64(kSeed, 0xf17eu);
+  for (const uint32_t levels : {0u, 1u, 2u, 63u}) {
+    // Level bases 0..7 put these updates at levels 0, 1, 2 and 13
+    // (before the cap).
+    for (uint64_t level_base = 0; level_base < 8; ++level_base) {
+      std::vector<OneSparseCell> want(levels + 1);
+      for (size_t i = 0; i < ids.size(); ++i) {
+        const uint32_t z =
+            GeometricLevel(SplitMix64(level_base + ids[i]), levels);
+        const uint64_t finger =
+            SplitMix64(finger_base + ids[i]) % kMersenne61;
+        for (uint32_t l = 0; l <= z; ++l) {
+          want[l].Update(ids[i], deltas[i], finger);
+        }
+      }
+      for (const CellKernelTable& backend : SupportedCellKernels()) {
+        SCOPED_TRACE(std::string(backend.name) + " levels=" +
+                     std::to_string(levels) +
+                     " level_base=" + std::to_string(level_base));
+        std::vector<OneSparseCell> got(levels + 1);
+        backend.l0_rep(level_base, finger_base, levels, ids.data(),
+                       deltas.data(), ids.size(), got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(OneSparseCell)),
+                  0);
+      }
+    }
+  }
+  OneSparseCell c;
+  Upd(&c, index, delta);
+  EXPECT_FALSE(c.Decode(kSeed).has_value());
 }
 
 }  // namespace

@@ -32,7 +32,6 @@
 // flags).
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -92,8 +91,8 @@ void PrintUsage(std::FILE* out, const char* argv0) {
       "  serve        ingest while answering queries from snapshots\n"
       "  serve multi  co-host K sessions on one worker pool over a GSKT\n"
       "               tagged trace; the script opens sessions ('open\n"
-      "               <name> <alg> [--snapshot-ms M]') and queries them\n"
-      "               ('@<name> <pos> <query>', per-session positions)\n"
+      "               <name> <alg>') and queries them ('@<name> <pos>\n"
+      "               <query>', per-session positions)\n"
       "  gen          generate a seeded workload stream as GSKB binary\n"
       "               ('-' writes to stdout: gen ... - | gsketch <alg>)\n"
       "  gen multi    interleave K tenants' churn streams into one GSKT\n"
@@ -118,13 +117,6 @@ void PrintUsage(std::FILE* out, const char* argv0) {
       "          --shards S    shard count for `shard` (in [2, 256])\n"
       "          --queries F   serve: query script, '<pos> <query>' lines\n"
       "                        (default: read the script from stdin)\n"
-      "          --snapshot-every N\n"
-      "                        serve: also snapshot every N updates\n"
-      "                        (default 0 = only at query positions)\n"
-      "          --snapshot-ms M\n"
-      "                        serve: also snapshot every M milliseconds\n"
-      "                        of wall clock; overdue ticks coalesce into\n"
-      "                        one snapshot (default 0 = off)\n"
       "          --max-weight W\n"
       "                        wsparsify: top edge weight (weight classes\n"
       "                        cover [1, W]; default 2)\n"
@@ -346,7 +338,7 @@ struct IngestOptions {
 enum FlagGroup : unsigned {
   kAtFlag = 1u << 0,        ///< --at
   kShardsFlag = 1u << 1,    ///< --shards
-  kServeFlags = 1u << 2,    ///< --queries, --snapshot-every, --snapshot-ms
+  kQueriesFlag = 1u << 2,   ///< --queries
   kTenantsFlag = 1u << 3,   ///< --tenants
   kKFlag = 1u << 4,         ///< --k
   kMaxWeightFlag = 1u << 5, ///< --max-weight
@@ -365,8 +357,6 @@ struct Invocation {
   uint32_t shards = 0;              ///< --shards
   uint32_t tenants = 0;             ///< --tenants
   const char* queries = nullptr;    ///< --queries script path; null = stdin
-  uint64_t snapshot_every = 0;      ///< --snapshot-every N updates; 0 = off
-  uint64_t snapshot_ms = 0;         ///< --snapshot-ms wall clock; 0 = off
   const AlgInfo* info = nullptr;
   NodeId n = 0;
   uint64_t seed = 1;
@@ -384,12 +374,6 @@ struct ValueFlag {
 };
 
 const ValueFlag kValueFlags[] = {
-    {"--snapshot-every", kServeFlags, 1, 1, UINT64_MAX,
-     "needs a positive integer", nullptr,
-     [](Invocation* a, uint64_t v) { a->snapshot_every = v; }},
-    {"--snapshot-ms", kServeFlags, 1, 1, UINT64_MAX,
-     "needs a positive integer", nullptr,
-     [](Invocation* a, uint64_t v) { a->snapshot_ms = v; }},
     {"--max-weight", kMaxWeightFlag, 1, 1, uint64_t{1} << 32,
      "needs an integer in [1, 2^32]", nullptr,
      [](Invocation* a, uint64_t v) {
@@ -433,7 +417,7 @@ bool ParseFlags(int argc, char** argv, Invocation* a) {
         return false;
       }
       a->queries = argv[++i];
-      a->given |= kServeFlags;
+      a->given |= kQueriesFlag;
       continue;
     }
     if (arg == "--progress") {
@@ -625,30 +609,17 @@ bool ParseQueryScript(std::istream& in, const char* name, uint64_t total,
   return true;
 }
 
-/// Seconds on the steady clock: the clock of the serve loop and of its
-/// sessions' snapshot schedulers.
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// A session as every serve run configures it: the command line's n,
-/// seed, family knobs and gutter size, the eager forest for the families
-/// whose answers it can serve exactly (insert-only prefixes; it hands
-/// over to the sketch on the first deletion it cannot absorb), and a
-/// wall-clock cadence of `snapshot_ms` (0 = off).
-SessionConfig ServeSessionConfig(const Invocation& a, const AlgInfo& info,
-                                 uint64_t snapshot_ms) {
+/// seed, family knobs and gutter size, and the eager forest for the
+/// families whose answers it can serve exactly (insert-only prefixes; it
+/// hands over to the sketch on the first deletion it cannot absorb).
+SessionConfig ServeSessionConfig(const Invocation& a, const AlgInfo& info) {
   SessionConfig cfg;
   cfg.num_nodes = a.n;
   cfg.seed = a.seed;
   cfg.options = a.alg;
   cfg.gutter_bytes = a.ingest.gutter;
-  cfg.eager_connectivity = info.tag == AlgTag::kConnectivity ||
-                           info.tag == AlgTag::kSpanningForest;
-  cfg.snapshot_interval_seconds = static_cast<double>(snapshot_ms) / 1000.0;
-  cfg.start_seconds = NowSeconds();
+  cfg.eager_connectivity = EagerCutServes(info.tag);
   return cfg;
 }
 
@@ -660,7 +631,6 @@ struct ServeLane {
   std::vector<ServeQuery> queries;  ///< position order once serving
   size_t next = 0;                  ///< first query not yet submitted
   uint64_t pushed = 0;              ///< this session's tokens so far
-  uint64_t captured = UINT64_MAX;   ///< position of its latest capture
 };
 
 /// What a serve run did, for its closing stderr summary.
@@ -668,7 +638,6 @@ struct ServeStats {
   bool ok = true;          ///< the feed read its whole input
   uint64_t tokens = 0;     ///< pushed, over every lane
   uint64_t snapshots = 0;  ///< captures published
-  uint64_t coalesced = 0;  ///< overdue cadence ticks folded into one
   SnapshotTiming sum{};    ///< accumulated drain/publish time
   SnapshotTiming peak{};   ///< per-snapshot maxima
   uint64_t answered = 0, errors = 0, eager = 0;
@@ -677,17 +646,14 @@ struct ServeStats {
 /// THE serve loop, for one session or many. `feed(push)` calls
 /// push(lane, u, v, delta) once per stream token and returns false on a
 /// read failure. Before each token the loop serves the boundary the
-/// token's lane stands at: a scripted position, every --snapshot-every of
-/// the lane's own tokens, or its session's wall-clock cadence (overdue
-/// ticks coalesced). A boundary publishes ONE capture — a COW page-table
-/// fork at a drain barrier — that every query scripted there shares, and
-/// a QueryEngine thread answers those pinned queries WHILE ingestion
-/// continues; the capture lives only as long as they do. The clock is
-/// read every 256 tokens, and then every lane's boundary is served. At
-/// the end each lane drains and serves its end-of-stream boundary. Every
-/// answer is prefixed with the position it reflects, and linearity makes
-/// it byte-identical to stopping that session's ingestion there and
-/// querying.
+/// token's lane stands at, if a query is scripted there: it publishes ONE
+/// capture — a COW page-table fork at a drain barrier — that every query
+/// scripted at that position shares, and a QueryEngine thread answers
+/// those pinned queries WHILE ingestion continues; the capture lives only
+/// as long as they do. At the end each lane drains and serves its
+/// end-of-stream boundary. Every answer is prefixed with the position it
+/// reflects, and linearity makes it byte-identical to stopping that
+/// session's ingestion there and querying.
 template <typename Feed>
 ServeStats ServeLanes(SessionManager* manager, std::vector<ServeLane>* lanes,
                       const Invocation& a, uint64_t total, Feed&& feed) {
@@ -710,19 +676,12 @@ ServeStats ServeLanes(SessionManager* manager, std::vector<ServeLane>* lanes,
       return halves / 2;
     });
   }
-  auto serve_boundary = [&](ServeLane& l, bool timed, double now) {
-    SketchSession* s = l.session;
-    const bool scripted =
-        l.next < l.queries.size() && l.queries[l.next].pos == l.pushed;
-    const bool periodic = a.snapshot_every > 0 && l.pushed > 0 &&
-                          l.pushed % a.snapshot_every == 0 &&
-                          l.captured != l.pushed;
-    const bool due = timed && s->scheduler().Due(now);
-    if (!scripted && !periodic && !due) return;
+  auto serve_boundary = [&](ServeLane& l) {
+    if (l.next == l.queries.size() || l.queries[l.next].pos != l.pushed) {
+      return;
+    }
     SnapshotTiming timing;
-    auto snap = s->Publish(&timing);
-    if (due) s->scheduler().Taken(now);
-    l.captured = l.pushed;
+    auto snap = l.session->Publish(&timing);
     ++st.snapshots;
     st.sum.drain_ms += timing.drain_ms;
     st.sum.publish_ms += timing.publish_ms;
@@ -739,26 +698,18 @@ ServeStats ServeLanes(SessionManager* manager, std::vector<ServeLane>* lanes,
     }
   };
   st.ok = feed([&](uint32_t lane, NodeId u, NodeId v, int64_t delta) {
-    if ((st.tokens & 255u) == 0) {
-      const double now = NowSeconds();
-      for (ServeLane& l : *lanes) serve_boundary(l, true, now);
-    } else {
-      serve_boundary((*lanes)[lane], false, 0);
-    }
     ServeLane& l = (*lanes)[lane];
+    serve_boundary(l);
     l.session->Push(u, v, delta);
     ++l.pushed;
     ++st.tokens;
   });
   for (ServeLane& l : *lanes) {
     l.session->Drain();
-    if (st.ok) serve_boundary(l, false, 0);  // end-of-stream queries
+    if (st.ok) serve_boundary(l);  // end-of-stream queries
   }
   engine.Finish();
   if (tracker.has_value()) tracker->Stop();
-  for (const ServeLane& l : *lanes) {
-    st.coalesced += l.session->scheduler().coalesced();
-  }
   st.answered = engine.answered();
   st.errors = engine.errors();
   st.eager = engine.eager_answered();
@@ -783,9 +734,8 @@ int RunServe(const Invocation& a) {
   popt.num_workers = a.ingest.threads;
   SessionManager manager(popt);
   std::string error;
-  lanes[0].session = manager.Create(
-      "", a.info->name, ServeSessionConfig(a, *a.info, a.snapshot_ms),
-      &error);
+  lanes[0].session =
+      manager.Create("", a.info->name, ServeSessionConfig(a, *a.info), &error);
   if (lanes[0].session == nullptr) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return kExitRuntime;
@@ -807,11 +757,9 @@ int RunServe(const Invocation& a) {
     std::fprintf(
         stderr,
         "snapshot timing: drain %.3f ms total (max %.3f), publish %.3f ms "
-        "total (max %.3f); %llu overdue ticks coalesced, %llu eager "
-        "answers\n",
+        "total (max %.3f); %llu eager answers\n",
         st.sum.drain_ms, st.peak.drain_ms, st.sum.publish_ms,
-        st.peak.publish_ms, static_cast<unsigned long long>(st.coalesced),
-        static_cast<unsigned long long>(st.eager));
+        st.peak.publish_ms, static_cast<unsigned long long>(st.eager));
   }
   return st.ok ? 0 : kExitRuntime;
 }
@@ -820,16 +768,15 @@ int RunServe(const Invocation& a) {
 
 /// One `open` line of a multi-graph serve script: session `name` runs
 /// family `alg`, bound to the NEXT tenant tag of the trace in open order
-/// (first open = tenant 0). Optional per-session snapshot cadence.
+/// (first open = tenant 0).
 struct MultiOpen {
   std::string name;
   std::string alg;
-  uint64_t snapshot_ms = 0;  ///< 0 = inherit the global --snapshot-ms
 };
 
-/// Parses a multi-graph serve script: `open <name> <alg> [--snapshot-ms
-/// M]` lines and `@<name> <pos> <query>` lines ('#' comments and blanks
-/// skipped; 'end' as a position means that session's end of stream). A
+/// Parses a multi-graph serve script: `open <name> <alg>` lines and
+/// `@<name> <pos> <query>` lines ('#' comments and blanks skipped; 'end'
+/// as a position means that session's end of stream). A
 /// query's position counts ITS session's own stream tokens — the position
 /// a solo run of that tenant would script, so answers diff against solo
 /// references modulo the `<name>` prefix.
@@ -847,24 +794,12 @@ bool ParseMultiScript(
     if (head == "open") {
       MultiOpen open;
       std::string extra;
-      if (!(ss >> open.name >> open.alg)) {
+      if (!(ss >> open.name >> open.alg) || ss >> extra) {
         std::fprintf(stderr,
-                     "error: %s:%zu: expected 'open <name> <alg> "
-                     "[--snapshot-ms M]', got '%s'\n",
+                     "error: %s:%zu: expected 'open <name> <alg>', got "
+                     "'%s'\n",
                      fname, lineno, line.c_str());
         return false;
-      }
-      if (ss >> extra) {
-        std::string value;
-        if (extra != "--snapshot-ms" || !(ss >> value) ||
-            !ParseU64(value.c_str(), &open.snapshot_ms) ||
-            open.snapshot_ms == 0) {
-          std::fprintf(stderr,
-                       "error: %s:%zu: the only open option is "
-                       "'--snapshot-ms M' (M > 0)\n",
-                       fname, lineno);
-          return false;
-        }
       }
       if (open.name.empty() || open.name[0] == '@') {
         std::fprintf(stderr, "error: %s:%zu: bad session name '%s'\n",
@@ -994,11 +929,9 @@ int RunServeMulti(const Invocation& a) {
                    opens[t].alg.c_str(), RegistryNameList(", ").c_str());
       return kExitRuntime;
     }
-    const uint64_t ms =
-        opens[t].snapshot_ms != 0 ? opens[t].snapshot_ms : a.snapshot_ms;
     std::string error;
-    lanes[t].session = manager.Create(
-        opens[t].name, opens[t].alg, ServeSessionConfig(a, *info, ms), &error);
+    lanes[t].session = manager.Create(opens[t].name, opens[t].alg,
+                                      ServeSessionConfig(a, *info), &error);
     if (lanes[t].session == nullptr) {
       std::fprintf(stderr, "error: open %s: %s\n", opens[t].name.c_str(),
                    error.c_str());
@@ -1461,9 +1394,9 @@ struct Command {
 };
 
 const Command kCommands[] = {
-    {"serve multi", 2, 3, kNoArg, 0, true, kIngestFlags | kServeFlags, 0,
+    {"serve multi", 2, 3, kNoArg, 0, true, kIngestFlags | kQueriesFlag, 0,
      nullptr, nullptr, RunServeMulti},
-    {"serve", 3, 4, 0, 1, true, kIngestFlags | kServeFlags | kAlgFlags, 0,
+    {"serve", 3, 4, 0, 1, true, kIngestFlags | kQueriesFlag | kAlgFlags, 0,
      nullptr, nullptr, RunServe},
     {"checkpoint", 4, 5, 0, 1, true, kIngestFlags | kAtFlag | kAlgFlags, 0,
      nullptr, nullptr, RunCheckpoint},
@@ -1524,8 +1457,8 @@ bool RefuseFlags(const Command& c, const Invocation& a) {
     why = "--at applies only to checkpoint";
   } else if (refused & kShardsFlag) {
     why = "--shards applies only to shard";
-  } else if (refused & kServeFlags) {
-    why = "--queries/--snapshot-every/--snapshot-ms apply only to serve";
+  } else if (refused & kQueriesFlag) {
+    why = "--queries applies only to serve";
   } else if (refused & kTenantsFlag) {
     why = "--tenants applies only to gen multi";
   } else if (refused & kKFlag) {
