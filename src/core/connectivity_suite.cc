@@ -281,9 +281,11 @@ std::optional<KConnectivityTester> KConnectivityTester::Deserialize(
   auto magic = r->U32();
   if (!magic || *magic != kKConnMagic) return std::nullopt;
   auto k = r->U32();
-  if (!k || *k == 0) return std::nullopt;
+  if (!k) return std::nullopt;
+  // The writer gives the tester its witness's k; any other header k
+  // tests a strength the witness cannot certify.
   auto witness = KEdgeConnectSketch::Deserialize(r);
-  if (!witness) return std::nullopt;
+  if (!witness || witness->k() != *k) return std::nullopt;
   return KConnectivityTester(*k, std::move(*witness));
 }
 

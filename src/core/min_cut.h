@@ -6,11 +6,18 @@
 // level j whose witness min cut drops below k and reports 2^j · λ(H_j):
 // Karger's uniform-sampling lemma (Lemma 3.1) guarantees the rescaled cut
 // approximates λ(G).
+//
+// The hierarchy is the SubsampledLevels shared with Figs. 2 and 3
+// (src/core/sampling_levels.h); this family adds only its k formula, seed
+// tag, magic and the Estimate decoder.
 #ifndef GRAPHSKETCH_SRC_CORE_MIN_CUT_H_
 #define GRAPHSKETCH_SRC_CORE_MIN_CUT_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/k_edge_connect.h"
@@ -39,40 +46,16 @@ struct MinCutEstimate {
   bool resolved = false;         ///< false if no level had λ(H_i) < k
 };
 
-/// Single-pass sketch for the (1+ε)-approximate minimum cut.
-class MinCutSketch {
+/// Single-pass sketch for the (1+ε)-approximate minimum cut: the
+/// subsampling hierarchy with one k-EDGECONNECT witness per level, whose
+/// routing, Merge, CellCount and wire body it inherits.
+class MinCutSketch : public SubsampledLevels<KEdgeConnectSketch> {
  public:
   MinCutSketch(NodeId n, const MinCutOptions& opt, uint64_t seed);
-
-  /// Applies one stream token; the edge is routed to every level it
-  /// survives to.
-  void Update(NodeId u, NodeId v, int64_t delta);
-
-  /// Endpoint half of one token. Level routing hashes the edge, not the
-  /// endpoint, so both halves land on the same levels.
-  void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v, int64_t delta);
-
-  /// Dense same-endpoint batch: each update is routed to the levels its
-  /// edge survives to (edge-hashed, so both halves agree), then each
-  /// level absorbs its sub-batch in one pass.
-  void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
-                  Span<const int64_t> deltas);
-
-  /// Adds another sketch with identical parameterization.
-  void Merge(const MinCutSketch& other);
 
   /// Post-processing (Fig. 1 step 3): scans levels for the first witness
   /// with min cut below k.
   MinCutEstimate Estimate() const;
-
-  /// The connectivity threshold k in use.
-  uint32_t k() const { return k_; }
-
-  /// Number of levels (hierarchy depth + 1).
-  uint32_t num_levels() const { return static_cast<uint32_t>(levels_.size()); }
-
-  /// Total 1-sparse cells (space proxy).
-  size_t CellCount() const;
 
   /// Serializes the full sketch state, including the subsampling
   /// hierarchy's seed (checkpoint payload format).
@@ -81,16 +64,9 @@ class MinCutSketch {
   /// Parses a sketch back; nullopt on malformed input.
   static std::optional<MinCutSketch> Deserialize(ByteReader* r);
 
-  NodeId num_nodes() const { return n_; }
-
  private:
-  MinCutSketch(NodeId n, uint32_t k, SamplingLevels sampler)
-      : n_(n), k_(k), sampler_(sampler) {}
-
-  NodeId n_;
-  uint32_t k_;
-  SamplingLevels sampler_;
-  std::vector<KEdgeConnectSketch> levels_;
+  explicit MinCutSketch(SubsampledLevels levels)
+      : SubsampledLevels(std::move(levels)) {}
 };
 
 }  // namespace gsketch

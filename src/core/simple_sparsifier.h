@@ -9,11 +9,18 @@
 // martingale analysis (Lemma 3.5, via Azuma) replaces the independent-
 // sampling bound of Fung et al. because "freezing" at level j depends on
 // the earlier coins.
+//
+// The hierarchy is the SubsampledLevels shared with Figs. 1 and 3
+// (src/core/sampling_levels.h); this family adds only its k formula, seed
+// tag, magic and the Extract decoder.
 #ifndef GRAPHSKETCH_SRC_CORE_SIMPLE_SPARSIFIER_H_
 #define GRAPHSKETCH_SRC_CORE_SIMPLE_SPARSIFIER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/k_edge_connect.h"
@@ -35,27 +42,13 @@ struct SimpleSparsifierOptions {
   ForestOptions forest;
 };
 
-/// Single-pass sketch decoding to an ε-sparsifier.
-class SimpleSparsifier {
+/// Single-pass sketch decoding to an ε-sparsifier: the subsampling
+/// hierarchy with one k-EDGECONNECT witness per level, whose routing,
+/// Merge, CellCount and wire body it inherits.
+class SimpleSparsifier : public SubsampledLevels<KEdgeConnectSketch> {
  public:
   SimpleSparsifier(NodeId n, const SimpleSparsifierOptions& opt,
                    uint64_t seed);
-
-  /// Applies one stream token; routed to every level the edge survives to.
-  void Update(NodeId u, NodeId v, int64_t delta);
-
-  /// Endpoint half of one token. Level routing hashes the edge, not the
-  /// endpoint, so both halves land on the same levels.
-  void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v, int64_t delta);
-
-  /// Dense same-endpoint batch: each update is routed to the levels its
-  /// edge survives to (edge-hashed, so both halves agree), then each
-  /// level absorbs its sub-batch in one pass.
-  void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
-                  Span<const int64_t> deltas);
-
-  /// Adds another sketch with identical parameterization.
-  void Merge(const SimpleSparsifier& other);
 
   /// Post-processing: decodes all witnesses, assigns per-edge levels via
   /// per-level Gomory–Hu trees, and returns the weighted sparsifier.
@@ -65,10 +58,6 @@ class SimpleSparsifier {
   /// for the rough-sparsifier stage of Fig. 3).
   std::vector<Graph> ExtractWitnesses() const;
 
-  uint32_t k() const { return k_; }
-  uint32_t num_levels() const { return static_cast<uint32_t>(levels_.size()); }
-  size_t CellCount() const;
-
   /// Serializes the full sketch state, including the subsampling
   /// hierarchy's seed (checkpoint payload format).
   void AppendTo(std::string* out) const;
@@ -76,16 +65,9 @@ class SimpleSparsifier {
   /// Parses a sketch back; nullopt on malformed input.
   static std::optional<SimpleSparsifier> Deserialize(ByteReader* r);
 
-  NodeId num_nodes() const { return n_; }
-
  private:
-  SimpleSparsifier(NodeId n, uint32_t k, SamplingLevels sampler)
-      : n_(n), k_(k), sampler_(sampler) {}
-
-  NodeId n_;
-  uint32_t k_;
-  SamplingLevels sampler_;
-  std::vector<KEdgeConnectSketch> levels_;
+  explicit SimpleSparsifier(SubsampledLevels levels)
+      : SubsampledLevels(std::move(levels)) {}
 };
 
 }  // namespace gsketch

@@ -18,9 +18,13 @@
 //     same n, options, and seed; structural mismatches are rejected).
 //   * AppendTo      — full-state serialization, byte-compatible with the
 //     concrete sketch's own AppendTo (GSKC payloads are unchanged).
-//   * Clone/Query   — the serving surface (src/driver/snapshot.h): a deep
-//     copy pinned at a stream position, and text queries ("components",
-//     "connected 3 7", …) decoded from it without mutating anything.
+//   * Clone         — a copy of the whole sketch that shares its
+//     copy-on-write pages (src/sketch/cow_arena.h): O(pages), not a deep
+//     copy, and independent of the original from the first write on.
+//   * SnapshotView/Query — the serving surface (src/driver/snapshot.h):
+//     an immutable capture pinned at a stream position, and text queries
+//     ("components", "connected 3 7", …) decoded from it without mutating
+//     anything.
 //   * Tag/Describe/PrintAnswer — identity, parameter summary, and the
 //     decoded answer, for generic tooling (CLI dispatch, `inspect`).
 //

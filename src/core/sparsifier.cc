@@ -1,6 +1,6 @@
 #include "src/core/sparsifier.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 
 #include "src/graph/gomory_hu.h"
@@ -10,12 +10,6 @@ namespace gsketch {
 
 namespace {
 
-uint32_t Log2Ceil(NodeId n) {
-  uint32_t lg = 0;
-  while ((NodeId{1} << lg) < n && lg < 31) ++lg;
-  return lg;
-}
-
 SimpleSparsifierOptions RoughOptions(SimpleSparsifierOptions base) {
   base.epsilon = 0.5;  // the (1 ± 1/2) rough stage of Fig. 3 step 1
   return base;
@@ -24,42 +18,32 @@ SimpleSparsifierOptions RoughOptions(SimpleSparsifierOptions base) {
 }  // namespace
 
 Sparsifier::Sparsifier(NodeId n, const SparsifierOptions& opt, uint64_t seed)
-    : n_(n),
-      k_(opt.k_override != 0
-             ? opt.k_override
-             : static_cast<uint32_t>(std::ceil(
-                   opt.k_scale *
-                   static_cast<double>(Log2Ceil(n) * Log2Ceil(n)) /
-                   (opt.epsilon * opt.epsilon)))),
-      rough_(n, RoughOptions(opt.rough), DeriveSeed(seed, 0xf301u)),
-      sampler_(opt.max_level == 0 ? SamplingLevels::DefaultMaxLevel(n)
-                                  : opt.max_level,
-               DeriveSeed(seed, 0xf302u)) {
-  k_ = std::max<uint32_t>(k_, 4);
-  uint32_t num_levels = sampler_.max_level() + 1;
-  banks_.reserve(num_levels);
-  for (uint32_t i = 0; i < num_levels; ++i) {
-    banks_.emplace_back(n, k_, opt.rows, DeriveSeed(seed, 0xf303u + i));
-  }
-}
+    : rough_(n, RoughOptions(opt.rough), DeriveSeed(seed, 0xf301u)),
+      banks_(n,
+             std::max<uint32_t>(
+                 opt.k_override != 0
+                     ? opt.k_override
+                     : static_cast<uint32_t>(std::ceil(
+                           opt.k_scale *
+                           static_cast<double>(CeilLog2(n) * CeilLog2(n)) /
+                           (opt.epsilon * opt.epsilon))),
+                 4),
+             opt.max_level, seed, /*tag=*/0xf302u, opt.rows) {}
 
 void Sparsifier::Update(NodeId u, NodeId v, int64_t delta) {
   rough_.Update(u, v, delta);
-  uint32_t deepest = sampler_.LevelOf(u, v);
-  for (uint32_t i = 0; i <= deepest && i < banks_.size(); ++i) {
-    banks_[i].Update(u, v, delta);
-  }
+  banks_.Update(u, v, delta);
 }
 
 void Sparsifier::Merge(const Sparsifier& other) {
-  assert(k_ == other.k_ && banks_.size() == other.banks_.size());
   rough_.Merge(other.rough_);
-  for (size_t i = 0; i < banks_.size(); ++i) banks_[i].Merge(other.banks_[i]);
+  banks_.Merge(other.banks_);
 }
 
 Graph Sparsifier::Extract(SparsifierStats* stats) const {
   SparsifierStats local;
-  Graph sparsifier(n_);
+  const NodeId n = banks_.num_nodes();
+  Graph sparsifier(n);
 
   // Step 1 (decode side): the rough (1 ± 1/2)-sparsifier.
   Graph rough = rough_.Extract();
@@ -67,7 +51,7 @@ Graph Sparsifier::Extract(SparsifierStats* stats) const {
   // Step 4: Gomory–Hu tree of the rough sparsifier.
   GomoryHuTree tree = GomoryHuTree::Build(rough);
 
-  double kd = static_cast<double>(k_);
+  double kd = static_cast<double>(banks_.k());
   for (NodeId v : tree.EdgeList()) {
     ++local.cuts_processed;
     double w = tree.ParentWeight(v);
@@ -82,13 +66,13 @@ Graph Sparsifier::Extract(SparsifierStats* stats) const {
     uint32_t j = 0;
     if (w > 0.0) {
       double target = 3.0 * w / kd;
-      while ((1u << j) < target && j < sampler_.max_level()) ++j;
+      while ((1u << j) < target && j + 1 < banks_.num_levels()) ++j;
     }
 
     // Step 4c: sum the level-j node sketches over the cut side and decode
     // every crossing edge of G_j.
     std::vector<NodeId> side = tree.CutSide(v);
-    SparseRecovery sum = banks_[j].SumOver(side);
+    SparseRecovery sum = banks_.level(j).SumOver(side);
     RecoveryResult rec = sum.Decode();
     if (!rec.ok) {
       ++local.recovery_failures;
@@ -101,7 +85,7 @@ Graph Sparsifier::Extract(SparsifierStats* stats) const {
     for (const auto& [id, value] : rec.entries) {
       ++local.edges_recovered;
       auto [a, b] = EdgeEndpoints(id);
-      if (a >= n_ || b >= n_ || a == b) continue;
+      if (a >= n || b >= n || a == b) continue;
       if (tree.MinEdgeOnPath(a, b) != v) continue;
       double mult = static_cast<double>(value < 0 ? -value : value);
       sparsifier.AddEdge(a, b, std::ldexp(mult, static_cast<int>(j)));
@@ -111,12 +95,6 @@ Graph Sparsifier::Extract(SparsifierStats* stats) const {
 
   if (stats != nullptr) *stats = local;
   return sparsifier;
-}
-
-size_t Sparsifier::CellCount() const {
-  size_t total = rough_.CellCount();
-  for (const auto& b : banks_) total += b.CellCount();
-  return total;
 }
 
 }  // namespace gsketch

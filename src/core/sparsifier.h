@@ -13,6 +13,10 @@
 // tree-path filter (step 4d) assigns each recovered edge to the unique cut
 // that matches its own min cut, reproducing the per-edge sampling
 // probabilities of Fig. 2 at lower sketch cost.
+//
+// Stage 2's hierarchy is a SubsampledLevels<NodeRecoveryBank>
+// (src/core/sampling_levels.h), the same routing, Merge and CellCount as
+// Figs. 1 and 2 over k-RECOVERY banks instead of k-EDGECONNECT witnesses.
 #ifndef GRAPHSKETCH_SRC_CORE_SPARSIFIER_H_
 #define GRAPHSKETCH_SRC_CORE_SPARSIFIER_H_
 
@@ -62,16 +66,13 @@ class Sparsifier {
   /// Post-processing (Fig. 3 step 4). `stats` is optional.
   Graph Extract(SparsifierStats* stats = nullptr) const;
 
-  uint32_t recovery_capacity() const { return k_; }
-  uint32_t num_levels() const { return static_cast<uint32_t>(banks_.size()); }
-  size_t CellCount() const;
+  uint32_t recovery_capacity() const { return banks_.k(); }
+  uint32_t num_levels() const { return banks_.num_levels(); }
+  size_t CellCount() const { return rough_.CellCount() + banks_.CellCount(); }
 
  private:
-  NodeId n_;
-  uint32_t k_;
   SimpleSparsifier rough_;
-  SamplingLevels sampler_;
-  std::vector<NodeRecoveryBank> banks_;  // one per level
+  SubsampledLevels<NodeRecoveryBank> banks_;  // k-RECOVERY, one per level
 };
 
 }  // namespace gsketch

@@ -44,7 +44,6 @@ IngestPipeline::SessionId IngestPipeline::Attach(
                         Enqueue(sid, std::move(batch));
                       });
   auto ch = std::make_shared<Channel>(sid, sink, std::move(gutter));
-  ch->stream_updates = copt.initial_stream_pos;
   if (copt.eager_nodes > 0) {
     ch->eager = std::make_unique<EagerForest>(copt.eager_nodes);
   }
@@ -142,11 +141,6 @@ size_t IngestPipeline::GutterBufferedBytes(SessionId sid) const {
 const GutterSystem* IngestPipeline::gutters(SessionId sid) const {
   const Channel* ch = Get(sid);
   return ch != nullptr ? &ch->gutter : nullptr;
-}
-
-const EagerForest* IngestPipeline::eager_forest(SessionId sid) const {
-  const Channel* ch = Get(sid);
-  return ch != nullptr ? ch->eager.get() : nullptr;
 }
 
 std::shared_ptr<const EagerCut> IngestPipeline::CaptureEagerCut(

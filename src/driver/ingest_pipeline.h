@@ -108,9 +108,6 @@ struct ChannelOptions {
   /// Nonzero enables the eager exact-connectivity forest over this many
   /// nodes (src/driver/eager_forest.h), maintained inline at Push.
   NodeId eager_nodes = 0;
-  /// Stream tokens already applied before this channel attached (a
-  /// checkpoint-restored session resumes counting from its stream_pos).
-  uint64_t initial_stream_pos = 0;
 };
 
 /// The shared worker pool + queue fabric (see file comment). Channels
@@ -159,8 +156,7 @@ class IngestPipeline {
   /// from any thread.
   uint64_t AppliedHalves(SessionId sid) const;
 
-  /// Stream tokens pushed so far, including a restored channel's initial
-  /// position. Producer-side.
+  /// Stream tokens pushed so far. Producer-side.
   uint64_t StreamUpdates(SessionId sid) const;
 
   /// Bytes currently buffered in the session's gutters (memory
@@ -169,10 +165,6 @@ class IngestPipeline {
 
   /// The session's gutter layer (nullptr for an unknown session).
   const GutterSystem* gutters(SessionId sid) const;
-
-  /// The session's eager forest, when enabled (nullptr otherwise).
-  /// Producer-side reads only while ingestion runs.
-  const EagerForest* eager_forest(SessionId sid) const;
 
   /// Captures the session's exact partition at the current push position
   /// (no drain needed; the forest is maintained at Push time). nullptr

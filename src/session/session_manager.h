@@ -20,9 +20,13 @@
 // Isolation invariant (tests/session_test.cc): sessions apply to disjoint
 // sketch objects, so each tenant's sketch bytes and query answers under
 // co-hosting are byte-identical to that tenant running solo — in every
-// ingestion mode. Drains are per-session: checkpointing or snapshotting
-// one tenant never stalls the others' ingestion (they keep flowing
-// through the same workers during the barrier).
+// ingestion mode. Drains are per-session: publishing one tenant's capture
+// never stalls the others' ingestion (they keep flowing through the same
+// workers during the barrier).
+//
+// The manager only creates and closes sessions. It has no checkpoint
+// surface of its own: the CLI checkpoints and resumes a sketch through
+// SaveCheckpoint and RestoreSketch (src/driver/checkpoint.h).
 //
 // Threading: all SessionManager calls are producer-side (the pipeline's
 // single-producer contract), which is why `sessions_` and the memory
@@ -35,11 +39,9 @@
 #define GRAPHSKETCH_SRC_SESSION_SESSION_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/driver/ingest_pipeline.h"
 #include "src/session/sketch_session.h"
@@ -62,38 +64,14 @@ class SessionManager {
   /// Creates a fresh session `name` running registry family `alg`.
   /// Returns nullptr with `*error` set when the family is unknown, the
   /// name is taken, or the config is rejected (multi-worker ingestion of
-  /// a non-sharded family). The session pointer stays valid until Close.
+  /// a non-sharded family); the sketch is built only after those checks
+  /// pass. The session pointer stays valid until Close.
   SketchSession* Create(const std::string& name, const std::string& alg,
                         const SessionConfig& cfg, std::string* error);
-
-  /// Creates session `name` from a GSKC checkpoint: restores the sketch
-  /// and resumes the stream position, so pushing the remaining suffix
-  /// reproduces an uninterrupted run bit-identically. `cfg`'s
-  /// sketch-construction fields are ignored (the checkpoint decides);
-  /// its gutter size applies. Shard checkpoints are refused (a
-  /// session resume replays a suffix, which a non-prefix checkpoint
-  /// cannot support), as is eager_connectivity (the forest needs the full
-  /// edge history, which a checkpoint does not carry).
-  SketchSession* OpenCheckpoint(const std::string& name,
-                                const std::string& path,
-                                const SessionConfig& cfg,
-                                std::string* error);
-
-  /// The named session, or nullptr.
-  SketchSession* Find(const std::string& name) const;
 
   /// Drains and destroys the session (its channel id is retired).
   /// False when no such session.
   bool Close(const std::string& name, std::string* error = nullptr);
-
-  /// Drains the session and writes a GSKC prefix checkpoint of its
-  /// sketch at the drained stream position. OpenCheckpoint of the file
-  /// round-trips bytes and position exactly.
-  bool Checkpoint(const std::string& name, const std::string& path,
-                  std::string* error);
-
-  /// Session names in lexicographic order (deterministic listing).
-  std::vector<std::string> Names() const;
 
   /// Sum of every session's MemoryBytes(): aggregate sketch-cell arena
   /// plus gutter-buffered bytes across tenants.
@@ -104,15 +82,6 @@ class SessionManager {
   IngestPipeline& pipeline() { return pipeline_; }
 
  private:
-  /// The steps Create and OpenCheckpoint share: refuses a taken `name`
-  /// and a family (`info`) this pool's workers cannot share, then wraps
-  /// the sketch `make` returns in a session whose channel attaches with
-  /// `copt`.
-  SketchSession* Open(
-      const std::string& name, const AlgInfo& info,
-      const std::function<std::unique_ptr<LinearSketch>()>& make,
-      const ChannelOptions& copt, std::string* error);
-
   IngestPipeline pipeline_;
   std::map<std::string, std::unique_ptr<SketchSession>> sessions_;
 };

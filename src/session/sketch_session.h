@@ -1,7 +1,7 @@
 // One hosted tenant: a named registry sketch plus everything private to
-// serving it — the ingest channel on the shared pipeline, the optional
-// eager forest, and the checkpoint identity needed to close and reopen
-// the session later.
+// serving it — the ingest channel on the shared pipeline and its optional
+// eager forest, which queries read only through the eager cut a Publish
+// captures.
 //
 // A SketchSession never owns threads, holds no snapshots and keeps no
 // clock: it captures when its caller asks (a serve run asks exactly at
@@ -12,8 +12,8 @@
 // capture to its caller, and the queries pinned to it own it from there.
 // Lifecycle and the producer-side threading contract are the
 // SessionManager's (src/session/session_manager.h) — sessions are
-// created, pushed to, drained, published, checkpointed, and closed from
-// the one producer thread, while snapshot readers (QueryEngine) may live
+// created, pushed to, drained, published and closed from the one
+// producer thread, while snapshot readers (QueryEngine) may live
 // anywhere.
 #ifndef GRAPHSKETCH_SRC_SESSION_SKETCH_SESSION_H_
 #define GRAPHSKETCH_SRC_SESSION_SKETCH_SESSION_H_
@@ -72,8 +72,7 @@ class SketchSession {
     return CaptureSnapshot(pipeline_, sid_, *sketch_, nullptr, timing);
   }
 
-  /// Stream tokens this session has ingested, including the restored
-  /// position of a checkpoint-opened session. Producer-side.
+  /// Stream tokens this session has ingested. Producer-side.
   uint64_t stream_pos() const { return pipeline_->StreamUpdates(sid_); }
 
   /// Endpoint half-updates applied so far (2 per token once flushed).
@@ -90,11 +89,6 @@ class SketchSession {
 
   /// The session's gutter layer.
   const GutterSystem* gutters() const { return pipeline_->gutters(sid_); }
-
-  /// The session's eager forest, when enabled (nullptr otherwise).
-  const EagerForest* eager_forest() const {
-    return pipeline_->eager_forest(sid_);
-  }
 
  private:
   friend class SessionManager;

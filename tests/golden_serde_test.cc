@@ -3,15 +3,20 @@
 // fixtures were produced by the v1 writers (gsketch_cli convert /
 // checkpoint, seed 42); if this test breaks, the wire format drifted —
 // bump the format version and keep reading v1, don't regenerate the
-// fixtures to paper over it.
+// fixtures to paper over it. Every registered family's payload is pinned
+// as well, by size and FNV-1a digest rather than by file
+// (docs/TESTING.md, "Payload digests").
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 
+#include "src/core/sparsifier.h"
 #include "src/driver/binary_stream.h"
 #include "src/driver/checkpoint.h"
+#include "src/graph/generators.h"
 #include "src/workload/stream_generator.h"
 
 #ifndef GSKETCH_TEST_DATA_DIR
@@ -201,6 +206,76 @@ TEST(GoldenSerde, GeneratorFixtureLocksWorkloadDeterminism) {
   EXPECT_EQ(golden.size(), 20u + 12u * 600u);
   EXPECT_EQ(slurp(fresh_path), golden);
   std::remove(fresh_path.c_str());
+}
+
+// FNV-1a 64 over a payload (the hash the GSKC envelope checksums with).
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(GoldenSerde, EveryFamilyPayloadDigestIsPinned) {
+  // Every registered family at AlgOptions{} and seed 42, fed the golden
+  // stream in order. A round trip still passes when a writer and its
+  // reader drift together; these digests do not. They pin digests, not
+  // fixture files: mincut's payload alone is 5,972,848 bytes at n = 8.
+  // docs/TESTING.md says how to recapture them for an intended format
+  // change.
+  struct Pinned {
+    const char* family;
+    size_t bytes;
+    uint64_t fnv1a;
+  };
+  const Pinned kPinned[] = {
+      {"connectivity", 35556, 0x75bb1ba25c392f2aULL},
+      {"bipartite", 148492, 0x2c135208a83e3eedULL},
+      {"mincut", 5972848, 0x372edcd0326a3fe2ULL},
+      {"sparsify", 2239888, 0xc1f55fa4b106b505ULL},
+      {"triangles", 208960, 0x968e685ffab5c9acULL},
+      {"kconnect", 106676, 0x928ec91efd0684a1ULL},
+      {"kedge", 106668, 0xf0cd6c6e9d70aa0bULL},
+      {"forest", 35552, 0x5548c12cb1df673eULL},
+      {"mst", 35572, 0x106bcb1418ed1ec9ULL},
+      {"wsparsify", 8959348, 0xa8557606a0d34ec2ULL},
+  };
+  ASSERT_EQ(std::size(kPinned), Registry().size());
+  auto s = ReadBinaryStream(DataPath("golden_stream.gskb"));
+  ASSERT_TRUE(s.has_value());
+  for (const Pinned& p : kPinned) {
+    SCOPED_TRACE(p.family);
+    const AlgInfo* info = FindAlg(p.family);
+    ASSERT_NE(info, nullptr);
+    auto sk = info->make(kGoldenN, AlgOptions{}, /*seed=*/42);
+    for (const auto& e : s->Updates()) sk->Update(e.u, e.v, e.delta);
+    std::string bytes;
+    sk->AppendTo(&bytes);
+    const uint64_t fnv1a = Fnv1a64(bytes);
+    EXPECT_TRUE(bytes.size() == p.bytes && fnv1a == p.fnv1a)
+        << "actual row: {\"" << p.family << "\", " << bytes.size()
+        << ", 0x" << std::hex << fnv1a << "ULL},";
+  }
+}
+
+TEST(GoldenSerde, Fig3SparsifierIsPinnedOnComplete8) {
+  // Fig. 3 has no payload yet, so its cell layout and decoded edges are
+  // pinned instead. On complete-8 every Gomory–Hu cut of the rough stage
+  // is sampled at level 2, so the decoded edges come from the level-2
+  // k-RECOVERY banks and exercise the level routing.
+  Sparsifier sk(kGoldenN, SparsifierOptions{}, /*seed=*/42);
+  for (const auto& e : CompleteGraph(kGoldenN).Edges()) {
+    sk.Update(e.u, e.v, 1);
+  }
+  EXPECT_EQ(sk.CellCount(), 93744u);
+  std::string edges;
+  for (const auto& e : sk.Extract().Edges()) {
+    edges += std::to_string(e.u) + "-" + std::to_string(e.v) + ":" +
+             std::to_string(static_cast<int64_t>(e.weight)) + " ";
+  }
+  EXPECT_EQ(edges, "0-3:4 1-7:4 1-4:4 1-2:4 2-4:4 3-6:4 6-7:4 ");
 }
 
 TEST(GoldenSerde, FixtureFormatSniffersAgree) {

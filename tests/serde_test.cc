@@ -177,6 +177,71 @@ TEST(Serde, FamilyHeadersRejectCountsPastInput) {
   }
 }
 
+// Complete-8 through a registered family at AlgOptions{} and seed 42:
+// the payload its writer produces.
+std::string Complete8Payload(const char* family) {
+  auto sk = FindAlg(family)->make(8, AlgOptions{}, 42);
+  for (const auto& e : CompleteGraph(8).Edges()) sk->Update(e.u, e.v, 1);
+  std::string buf;
+  sk->AppendTo(&buf);
+  return buf;
+}
+
+// `payload` with the 32-bit header field at `offset` set to `value`.
+std::string PatchU32(std::string payload, size_t offset, uint32_t value) {
+  return payload.replace(offset, 4, U32s({value}));
+}
+
+// True when `family`'s registered reader accepts `payload` and reads it to
+// its end.
+bool ParsesToEnd(const char* family, const std::string& payload) {
+  ByteReader r(payload);
+  auto sk = FindAlg(family)->deserialize(&r);
+  return sk != nullptr && r.AtEnd();
+}
+
+// Hostile headers that a reader can consume to the last byte but that no
+// writer produces. Every cut writer clamps k >= 2 and gives each level k
+// layers; a reader trusting the header answered complete-8's min cut of 7
+// as "0 (unresolved)" at k = 0 and as "2" at k = 3, and decoded 0 and 6 of
+// its 28 edges as a sparsifier.
+TEST(Serde, CutHeadersRejectKUnlikeTheirLevels) {
+  for (const char* family : {"mincut", "sparsify"}) {
+    SCOPED_TRACE(family);
+    const std::string payload = Complete8Payload(family);
+    ASSERT_TRUE(ParsesToEnd(family, payload));
+    for (uint32_t k : {0u, 3u}) {
+      EXPECT_FALSE(ParsesToEnd(family, PatchU32(payload, 8, k))) << k;
+    }
+  }
+}
+
+// Every cut writer builds max_level + 1 levels. A smaller max_level over
+// the same levels would leave the deeper ones without updates after a
+// resume; 2^32 - 1 must not wrap to a level count of 0.
+TEST(Serde, CutHeadersRejectLevelCountsUnlikeMaxLevel) {
+  for (const char* family : {"mincut", "sparsify"}) {
+    SCOPED_TRACE(family);
+    const std::string payload = Complete8Payload(family);
+    ASSERT_TRUE(ParsesToEnd(family, payload));
+    for (uint32_t max_level : {2u, 0xffffffffu}) {
+      EXPECT_FALSE(ParsesToEnd(family, PatchU32(payload, 12, max_level)))
+          << max_level;
+    }
+  }
+}
+
+// The tester's k is its witness's k. A tester k of 5 over a 3-layer
+// witness answered "kconnected" on complete-8 with "no"; a real k = 5
+// sketch answers "yes".
+TEST(Serde, KConnectRejectsTesterKUnlikeItsWitness) {
+  const std::string payload = Complete8Payload("kconnect");  // k = 3
+  ASSERT_TRUE(ParsesToEnd("kconnect", payload));
+  for (uint32_t k : {2u, 5u}) {
+    EXPECT_FALSE(ParsesToEnd("kconnect", PatchU32(payload, 4, k))) << k;
+  }
+}
+
 TEST(Serde, SparseRecoveryRoundTrip) {
   SparseRecovery s(1 << 14, 8, 3, 11);
   s.Update(100, 5);

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -164,61 +163,6 @@ TEST(SessionParity, TraceTenantSubsequenceIsTheChurnProfile) {
   }
 }
 
-// ------------------------------------------- checkpoint round trip --
-
-// Close/reopen via GSKC: checkpoint a session mid-stream, close it, open
-// the checkpoint as a new session, replay the suffix — bytes and stream
-// position must match an uninterrupted run exactly. Gutters are enabled
-// so Checkpoint's drain has real buffered state to flush.
-TEST(SessionCheckpoint, CloseReopenRoundTrip) {
-  constexpr NodeId n = 32;
-  DynamicGraphStream stream =
-      FindWorkloadProfile("churn")->generate(n, 600, kSeed);
-  const size_t cut = 300;
-
-  auto uninterrupted = FindAlg("connectivity")->make(n, AlgOptions{}, kSeed);
-  for (const auto& e : stream.Updates()) {
-    uninterrupted->Update(e.u, e.v, e.delta);
-  }
-  const std::string expected = Bytes(*uninterrupted);
-
-  const std::string path = ::testing::TempDir() + "session_roundtrip.gskc";
-  SessionManager mgr;
-  SessionConfig cfg;
-  cfg.num_nodes = n;
-  cfg.seed = kSeed;
-  cfg.gutter_bytes = 512;
-  std::string err;
-  SketchSession* s = mgr.Create("live", "connectivity", cfg, &err);
-  ASSERT_NE(s, nullptr) << err;
-  for (size_t i = 0; i < cut; ++i) {
-    const EdgeUpdate& e = stream.Updates()[i];
-    s->Push(e.u, e.v, e.delta);
-  }
-  ASSERT_TRUE(mgr.Checkpoint("live", path, &err)) << err;
-  EXPECT_EQ(s->stream_pos(), cut);
-  ASSERT_TRUE(mgr.Close("live", &err)) << err;
-  EXPECT_EQ(mgr.Find("live"), nullptr);
-
-  // Reopen under a new name; eager_connectivity is requested but must be
-  // ignored (the forest needs the full edge history a checkpoint lacks).
-  SessionConfig rcfg;
-  rcfg.gutter_bytes = 512;
-  rcfg.eager_connectivity = true;
-  SketchSession* r = mgr.OpenCheckpoint("resumed", path, rcfg, &err);
-  ASSERT_NE(r, nullptr) << err;
-  EXPECT_EQ(r->stream_pos(), cut);
-  EXPECT_EQ(r->eager_forest(), nullptr);
-  for (size_t i = cut; i < stream.Size(); ++i) {
-    const EdgeUpdate& e = stream.Updates()[i];
-    r->Push(e.u, e.v, e.delta);
-  }
-  r->Drain();
-  EXPECT_EQ(r->stream_pos(), stream.Size());
-  EXPECT_EQ(Bytes(r->sketch()), expected);
-  std::remove(path.c_str());
-}
-
 // --------------------------------------------------- manager surface --
 
 TEST(SessionManagerApi, ErrorsAndListing) {
@@ -236,13 +180,10 @@ TEST(SessionManagerApi, ErrorsAndListing) {
   EXPECT_EQ(mgr.Create("c", "nosuchalg", cfg, &err), nullptr);
   EXPECT_NE(err.find("unknown algorithm"), std::string::npos) << err;
 
-  // Deterministic lexicographic listing, independent of creation order.
-  EXPECT_EQ(mgr.Names(), (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(mgr.size(), 2u);
-  EXPECT_NE(mgr.Find("a"), nullptr);
   EXPECT_FALSE(mgr.Close("nope", &err));
   EXPECT_TRUE(mgr.Close("a", &err));
-  EXPECT_EQ(mgr.Names(), (std::vector<std::string>{"b"}));
+  EXPECT_EQ(mgr.size(), 1u);
 
   // A multi-worker pool refuses non-sharded families at Create time (the
   // shared pool cannot clamp workers per session).
