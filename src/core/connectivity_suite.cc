@@ -166,13 +166,9 @@ void ApproxMstSketch::UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v,
 void ApproxMstSketch::ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                                  Span<const int64_t> deltas) {
   // Weight-1 batches belong to every threshold subgraph G_{<= t}.
-  std::vector<uint64_t> ids;
-  std::vector<int64_t> signed_deltas;
-  BatchEdgeIds(endpoint, others, deltas, &ids, &signed_deltas);
-  for (auto& forest : forests_) {
-    forest.ApplyBatchIds(endpoint, ids.data(), signed_deltas.data(),
-                         ids.size());
-  }
+  ForEachEdgeChunk(endpoint, others, deltas, [&](const UpdateBatch& batch) {
+    for (auto& forest : forests_) forest.ApplyBatch(endpoint, batch);
+  });
 }
 
 namespace {

@@ -47,6 +47,13 @@ class ConnectivitySketch {
   /// Adds another sketch with identical parameterization.
   void Merge(const ConnectivitySketch& other);
 
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const ConnectivitySketch& other) const {
+    return forest_.MismatchWith(other.forest_);
+  }
+
   /// Number of connected components (isolated nodes count).
   size_t NumComponents() const { return forest_.CountComponents(); }
 
@@ -97,6 +104,15 @@ class BipartitenessSketch {
 
   /// Adds another sketch with identical parameterization.
   void Merge(const BipartitenessSketch& other);
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const BipartitenessSketch& other) const {
+    if (n_ != other.n_) return "n";
+    const char* field = base_.MismatchWith(other.base_);
+    return field != nullptr ? field : cover_.MismatchWith(other.cover_);
+  }
 
   /// True iff the streamed graph is bipartite (w.h.p.).
   bool IsBipartite() const;
@@ -152,6 +168,15 @@ class ApproxMstSketch {
   /// Adds another sketch with identical parameterization.
   void Merge(const ApproxMstSketch& other);
 
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const ApproxMstSketch& other) const {
+    if (n_ != other.n_) return "n";
+    if (thresholds_ != other.thresholds_) return "weight thresholds";
+    return ListMismatch(forests_, other.forests_, "weight thresholds");
+  }
+
   /// Estimated MST weight. For a disconnected graph this is the weight of
   /// the minimum spanning forest.
   double EstimateWeight() const;
@@ -201,6 +226,13 @@ class KConnectivityTester {
 
   /// Adds another sketch with identical parameterization.
   void Merge(const KConnectivityTester& other);
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const KConnectivityTester& other) const {
+    return k_ != other.k_ ? "k" : witness_.MismatchWith(other.witness_);
+  }
 
   /// True iff the streamed graph is k-edge-connected: the witness
   /// preserves all cuts below k, so its min cut is exact in that range.

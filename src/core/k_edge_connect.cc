@@ -26,19 +26,14 @@ void KEdgeConnectSketch::UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v,
 
 void KEdgeConnectSketch::ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                                     Span<const int64_t> deltas) {
-  assert(others.size() == deltas.size());
-  std::vector<uint64_t> ids;
-  std::vector<int64_t> signed_deltas;
-  BatchEdgeIds(endpoint, others, deltas, &ids, &signed_deltas);
-  ApplyBatchIds(endpoint, ids.data(), signed_deltas.data(), ids.size());
+  ForEachEdgeChunk(endpoint, others, deltas, [&](const UpdateBatch& batch) {
+    ApplyBatch(endpoint, batch);
+  });
 }
 
-void KEdgeConnectSketch::ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
-                                       const int64_t* signed_deltas,
-                                       size_t count) {
-  for (auto& layer : layers_) {
-    layer.ApplyBatchIds(endpoint, ids, signed_deltas, count);
-  }
+void KEdgeConnectSketch::ApplyBatch(NodeId endpoint,
+                                    const UpdateBatch& batch) {
+  for (auto& layer : layers_) layer.ApplyBatch(endpoint, batch);
 }
 
 void KEdgeConnectSketch::Merge(const KEdgeConnectSketch& other) {

@@ -39,12 +39,18 @@ class KEdgeConnectSketch {
   void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                   Span<const int64_t> deltas);
 
-  /// ApplyBatch with precomputed edge ids / signed deltas (BatchEdgeIds).
-  void ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
-                     const int64_t* signed_deltas, size_t count);
+  /// ApplyBatch of a prologue already built (ForEachEdgeChunk).
+  void ApplyBatch(NodeId endpoint, const UpdateBatch& batch);
 
   /// Adds another sketch with identical parameterization.
   void Merge(const KEdgeConnectSketch& other);
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const KEdgeConnectSketch& other) const {
+    return n_ != other.n_ ? "n" : ListMismatch(layers_, other.layers_, "k");
+  }
 
   /// Decodes the witness subgraph H = F_1 ∪ ... ∪ F_k. Edge weights carry
   /// recovered multiplicities (1 for simple graphs). Does not mutate the

@@ -8,6 +8,8 @@ NodeL0Bank::NodeL0Bank(NodeId n, uint32_t repetitions, uint64_t seed)
     : n_(n),
       // Same seed for every node: one shared linear measurement matrix.
       params_(L0Params::Make(EdgeDomain(n), repetitions, seed)),
+      bases_(std::make_shared<const std::vector<L0RepBases>>(
+          L0BasesOf(params_))),
       stride_(params_.CellsPerSampler()),
       arena_(static_cast<size_t>(n), params_.CellsPerSampler()) {}
 
@@ -28,11 +30,9 @@ void NodeL0Bank::UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v,
 
 void NodeL0Bank::ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                             Span<const int64_t> deltas) {
-  assert(others.size() == deltas.size());
-  std::vector<uint64_t> ids;
-  std::vector<int64_t> signed_deltas;
-  BatchEdgeIds(endpoint, others, deltas, &ids, &signed_deltas);
-  ApplyBatchIds(endpoint, ids.data(), signed_deltas.data(), ids.size());
+  ForEachEdgeChunk(endpoint, others, deltas, [&](const UpdateBatch& batch) {
+    ApplyBatch(endpoint, batch);
+  });
 }
 
 L0Sampler NodeL0Bank::SumOver(const std::vector<NodeId>& nodes) const {
@@ -72,6 +72,8 @@ std::optional<NodeL0Bank> NodeL0Bank::Deserialize(ByteReader* r) {
     if (!L0ParseHeader(r, &p)) return std::nullopt;
     if (u == 0) {
       bank.params_ = p;
+      bank.bases_ =
+          std::make_shared<const std::vector<L0RepBases>>(L0BasesOf(p));
       bank.stride_ = p.CellsPerSampler();
       // Every node's cells must follow: bound n by what remains before
       // the arena is sized for it (stride >= 1, so the divisor is
@@ -115,11 +117,9 @@ void NodeRecoveryBank::UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v,
 
 void NodeRecoveryBank::ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                                   Span<const int64_t> deltas) {
-  assert(others.size() == deltas.size());
-  std::vector<uint64_t> ids;
-  std::vector<int64_t> signed_deltas;
-  BatchEdgeIds(endpoint, others, deltas, &ids, &signed_deltas);
-  ApplyBatchIds(endpoint, ids.data(), signed_deltas.data(), ids.size());
+  ForEachEdgeChunk(endpoint, others, deltas, [&](const UpdateBatch& batch) {
+    ApplyBatch(endpoint, batch);
+  });
 }
 
 SparseRecovery NodeRecoveryBank::SumOver(

@@ -14,6 +14,13 @@
 // compare; copying a bank — which is how snapshots are published — shares
 // every page and costs O(pages) instead of a deep clone, with the first
 // post-snapshot write to a page paying a single ~64 KiB first-touch copy.
+// Batches: every bank apply starts from one per-batch prologue
+// (ForEachEdgeChunk: edge ids, incidence-signed deltas, their products
+// and an all-unit flag in a stack UpdateBatch), built once and shared by
+// every bank of a composite sketch, and each ℓ₀ bank caches its
+// repetitions' Mix64 bases (at construction and in Deserialize), so a
+// default 4 KiB gutter batch costs one `l0_rep` kernel call per
+// repetition and nothing else per bank.
 // Per-node access hands out lightweight views (L0SamplerView /
 // SparseRecoveryView) over arena slices; the cells and the serialized
 // bytes are bit-identical to the historical flat-arena and per-node
@@ -22,8 +29,11 @@
 #ifndef GRAPHSKETCH_SRC_CORE_NODE_SKETCH_H_
 #define GRAPHSKETCH_SRC_CORE_NODE_SKETCH_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/core/span.h"
@@ -40,10 +50,46 @@ inline int64_t IncidenceSign(NodeId node, NodeId u, NodeId v) {
   return node == lo ? +1 : -1;
 }
 
-/// Precomputes the edge ids and incidence-signed deltas of a dense
-/// same-endpoint batch — the shared front half of every bank ApplyBatch.
-/// Composite sketches (forest rounds, k-EDGECONNECT layers) compute this
-/// once and fan the arrays out to many banks via ApplyBatchIds.
+/// The per-batch prologue of every bank apply: builds the UpdateBatch of a
+/// dense same-endpoint batch — edge {endpoint, others[i]} += deltas[i], as
+/// edge ids, incidence-signed deltas and their products — and hands it to
+/// fn(UpdateBatch&), one chunk of at most UpdateBatch::kMaxIds updates at
+/// a time (a default 4 KiB gutter's 341 entries are one chunk). Composite
+/// sketches (forest rounds, k-EDGECONNECT layers, subsampling levels)
+/// build it once and apply it to every bank; it lives on the stack.
+template <typename Fn>
+void ForEachEdgeChunk(NodeId endpoint, Span<const NodeId> others,
+                      Span<const int64_t> deltas, Fn&& fn) {
+  assert(others.size() == deltas.size());
+  UpdateBatch batch;
+  for (size_t start = 0; start < others.size();
+       start += UpdateBatch::kMaxIds) {
+    const size_t end = std::min(others.size(), start + UpdateBatch::kMaxIds);
+    batch.Clear();
+    for (size_t i = start; i < end; ++i) {
+      batch.Push(EdgeId(endpoint, others[i]),
+                 deltas[i] * IncidenceSign(endpoint, endpoint, others[i]));
+    }
+    fn(batch);
+  }
+}
+
+/// The first measurement parameter in which two lists of parts differ:
+/// `count_field` when their lengths do, else the first part's
+/// MismatchWith; nullptr when every part measures identically.
+template <typename Part>
+const char* ListMismatch(const std::vector<Part>& a,
+                         const std::vector<Part>& b, const char* count_field) {
+  if (a.size() != b.size()) return count_field;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (const char* field = a[i].MismatchWith(b[i])) return field;
+  }
+  return nullptr;
+}
+
+/// The edge ids and incidence-signed deltas of a dense same-endpoint batch
+/// as two vectors, for callers outside the apply path (perfbench's and
+/// E16's layer probes time the kernels on them).
 inline void BatchEdgeIds(NodeId endpoint, Span<const NodeId> others,
                          Span<const int64_t> deltas,
                          std::vector<uint64_t>* ids,
@@ -78,19 +124,17 @@ class NodeL0Bank {
 
   /// Applies a dense batch of half-updates all owned by `endpoint` (the
   /// gutter-flush fast path): edge {endpoint, others[i]} += deltas[i].
-  /// The endpoint's arena slice is resolved once and the batch streams
-  /// through it via L0CellsUpdateBatch; bit-identical to per-update
-  /// UpdateEndpoint calls (cell sums commute).
+  /// Bit-identical to per-update UpdateEndpoint calls (cell sums commute).
   void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                   Span<const int64_t> deltas);
 
-  /// ApplyBatch with the edge ids and incidence-signed deltas already
-  /// computed (BatchEdgeIds), so composite sketches amortize that work
-  /// across every bank sharing the endpoint.
-  void ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
-                     const int64_t* signed_deltas, size_t count) {
-    L0CellsUpdateBatch(params_, arena_.MutableSlice(endpoint), ids,
-                       signed_deltas, count);
+  /// ApplyBatch of a prologue already built (ForEachEdgeChunk), so
+  /// composite sketches build it once for every bank sharing the
+  /// endpoint: the endpoint's arena slice is resolved once and each
+  /// repetition is one kernel call over the cached bases (L0CellsApply).
+  void ApplyBatch(NodeId endpoint, const UpdateBatch& batch) {
+    L0CellsApply(params_, bases_->data(), arena_.MutableSlice(endpoint),
+                 batch);
   }
 
   /// View of a single node's sampler. On a quiescent bank (snapshots,
@@ -105,6 +149,13 @@ class NodeL0Bank {
 
   /// Adds another bank with identical parameterization (distributed merge).
   void Merge(const NodeL0Bank& other);
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const NodeL0Bank& other) const {
+    return n_ != other.n_ ? "n" : params_.MismatchWith(other.params_);
+  }
 
   /// Total 1-sparse cells (space proxy).
   size_t CellCount() const { return arena_.size(); }
@@ -132,6 +183,10 @@ class NodeL0Bank {
 
   NodeId n_ = 0;
   L0Params params_;
+  // L0BasesOf(params_), shared by every copy of the bank, so a
+  // snapshot's clone allocates nothing for it: per-bank copies raised
+  // traced ingest-uniform's capture p50 from 0.028 to 0.033 ms.
+  std::shared_ptr<const std::vector<L0RepBases>> bases_;
   size_t stride_ = 0;  // cells per node = params_.CellsPerSampler()
   CowCellArena arena_;  // n_ slices of stride_ cells, COW-paged
 };
@@ -155,11 +210,10 @@ class NodeRecoveryBank {
   void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                   Span<const int64_t> deltas);
 
-  /// ApplyBatch with precomputed edge ids / signed deltas (BatchEdgeIds).
-  void ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
-                     const int64_t* signed_deltas, size_t count) {
-    RecoveryCellsUpdateBatch(params_, arena_.MutableSlice(endpoint), ids,
-                             signed_deltas, count);
+  /// ApplyBatch of a prologue already built (ForEachEdgeChunk).
+  void ApplyBatch(NodeId endpoint, const UpdateBatch& batch) {
+    RecoveryCellsUpdateBatch(params_, arena_.MutableSlice(endpoint),
+                             batch.ids, batch.deltas, batch.count);
   }
 
   /// View of a single node's sketch (stable on quiescent banks; see
@@ -174,6 +228,13 @@ class NodeRecoveryBank {
 
   /// Adds another bank with identical parameterization.
   void Merge(const NodeRecoveryBank& other);
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const NodeRecoveryBank& other) const {
+    return n_ != other.n_ ? "n" : params_.MismatchWith(other.params_);
+  }
 
   /// Total 1-sparse cells (space proxy).
   size_t CellCount() const { return arena_.size(); }

@@ -84,8 +84,9 @@ class SamplingLevels {
 /// The hierarchy G_0 ⊇ ... ⊇ G_max_level with one `Level` sketch of each
 /// G_i, all of strength k over n nodes (see file comment). `Level` is
 /// built as Level(n, k, level_arg, seed) and provides Update,
-/// UpdateEndpoint, ApplyBatchIds, Merge and CellCount; the wire format
-/// also uses its AppendTo, Deserialize, kMinWireBytes, num_nodes and k.
+/// UpdateEndpoint, ApplyBatch of an UpdateBatch, Merge, MismatchWith and
+/// CellCount; the wire format also uses its AppendTo, Deserialize,
+/// kMinWireBytes, num_nodes and k.
 template <typename Level>
 class SubsampledLevels {
  public:
@@ -129,31 +130,39 @@ class SubsampledLevels {
   /// absorbs its sub-batch in one pass.
   void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                   Span<const int64_t> deltas) {
-    assert(others.size() == deltas.size());
-    std::vector<uint64_t> ids;
-    std::vector<int64_t> signed_deltas;
-    BatchEdgeIds(endpoint, others, deltas, &ids, &signed_deltas);
-    std::vector<uint32_t> deepest(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      deepest[i] = sampler_.LevelOfId(ids[i]);
-    }
-    // Level i's sub-batch is {updates with deepest >= i}; the survivor
-    // sets are nested, so the first empty level ends the routing.
-    std::vector<uint64_t> level_ids;
-    std::vector<int64_t> level_deltas;
-    for (uint32_t i = 0; i < levels_.size(); ++i) {
-      level_ids.clear();
-      level_deltas.clear();
-      for (size_t j = 0; j < ids.size(); ++j) {
-        if (deepest[j] >= i) {
-          level_ids.push_back(ids[j]);
-          level_deltas.push_back(signed_deltas[j]);
-        }
+    uint32_t deepest[UpdateBatch::kMaxIds];
+    ForEachEdgeChunk(endpoint, others, deltas, [&](UpdateBatch& batch) {
+      for (size_t j = 0; j < batch.count; ++j) {
+        deepest[j] = sampler_.LevelOfId(batch.ids[j]);
       }
-      if (level_ids.empty()) break;
-      levels_[i].ApplyBatchIds(endpoint, level_ids.data(),
-                               level_deltas.data(), level_ids.size());
-    }
+      // Level i's sub-batch is {updates with deepest >= i}. The survivor
+      // sets are nested, so each level's batch is the last one compacted
+      // in place (a subset of an all-unit batch stays all-unit), and the
+      // first empty level ends the routing.
+      for (uint32_t i = 0; i < levels_.size() && batch.count > 0; ++i) {
+        levels_[i].ApplyBatch(endpoint, batch);
+        size_t kept = 0;
+        for (size_t j = 0; j < batch.count; ++j) {
+          if (deepest[j] == i) continue;
+          deepest[kept] = deepest[j];
+          batch.ids[kept] = batch.ids[j];
+          batch.deltas[kept] = batch.deltas[j];
+          batch.weights[kept] = batch.weights[j];
+          ++kept;
+        }
+        batch.count = kept;
+      }
+    });
+  }
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const SubsampledLevels& other) const {
+    if (n_ != other.n_) return "n";
+    if (k_ != other.k_) return "k";
+    if (sampler_.seed() != other.sampler_.seed()) return "level coin seed";
+    return ListMismatch(levels_, other.levels_, "level count");
   }
 
   /// Adds another hierarchy with identical parameterization.

@@ -98,17 +98,13 @@ class Adapter : public LinearSketch {
       }
       return false;
     }
-    // Structural compatibility: n and the full cell layout must agree
-    // (cell count captures rounds, repetitions, k, and hierarchy depth).
-    if (sk_.num_nodes() != o->sk_.num_nodes() ||
-        sk_.CellCount() != o->sk_.CellCount()) {
+    // Measurement identity, checked in every build before any cell
+    // changes: every part's parameters, seeds included, must agree, or
+    // the summed cells measure nothing.
+    if (const char* field = sk_.MismatchWith(o->sk_)) {
       if (error) {
         *error = std::string(AlgTagName(TagV)) +
-                 ": incompatible sketch shapes (n=" +
-                 std::to_string(sk_.num_nodes()) + "/" +
-                 std::to_string(o->sk_.num_nodes()) + ", cells=" +
-                 std::to_string(sk_.CellCount()) + "/" +
-                 std::to_string(o->sk_.CellCount()) + ")";
+                 ": incompatible sketches: " + field + " differs";
       }
       return false;
     }

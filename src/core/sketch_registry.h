@@ -107,11 +107,12 @@ class LinearSketch {
     }
   }
 
-  /// Adds `other` (sketch addition). False with `*error` set when `other`
-  /// is a different algorithm or structurally incompatible (different n or
-  /// cell layout). Seeds are trusted: merging same-shaped sketches built
-  /// from different seeds silently produces garbage, exactly as for the
-  /// concrete Merge methods — construct shards identically.
+  /// Adds `other` (sketch addition). False with `*error` set, and this
+  /// sketch unchanged, when `other` is a different algorithm or measures
+  /// differently: the family's MismatchWith names the first parameter
+  /// (n, k, rounds, a level count, a seed, ...) that differs. The concrete
+  /// Merge methods only assert this, so shards must still be built with
+  /// identical (n, options, seed) to add.
   virtual bool Merge(const LinearSketch& other, std::string* error) = 0;
 
   /// Serializes the full sketch state; byte-identical to the concrete

@@ -39,19 +39,14 @@ void SpanningForestSketch::UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v,
 void SpanningForestSketch::ApplyBatch(NodeId endpoint,
                                       Span<const NodeId> others,
                                       Span<const int64_t> deltas) {
-  assert(others.size() == deltas.size());
-  std::vector<uint64_t> ids;
-  std::vector<int64_t> signed_deltas;
-  BatchEdgeIds(endpoint, others, deltas, &ids, &signed_deltas);
-  ApplyBatchIds(endpoint, ids.data(), signed_deltas.data(), ids.size());
+  ForEachEdgeChunk(endpoint, others, deltas, [&](const UpdateBatch& batch) {
+    ApplyBatch(endpoint, batch);
+  });
 }
 
-void SpanningForestSketch::ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
-                                         const int64_t* signed_deltas,
-                                         size_t count) {
-  for (auto& bank : banks_) {
-    bank.ApplyBatchIds(endpoint, ids, signed_deltas, count);
-  }
+void SpanningForestSketch::ApplyBatch(NodeId endpoint,
+                                      const UpdateBatch& batch) {
+  for (auto& bank : banks_) bank.ApplyBatch(endpoint, batch);
 }
 
 void SpanningForestSketch::Merge(const SpanningForestSketch& other) {

@@ -41,19 +41,25 @@ class SpanningForestSketch {
   void UpdateEndpoint(NodeId endpoint, NodeId u, NodeId v, int64_t delta);
 
   /// Applies a dense batch of half-updates all owned by `endpoint` —
-  /// edge {endpoint, others[i]} += deltas[i] — hashing the edge ids once
-  /// and streaming each round bank's endpoint slice in a tight loop.
-  /// Bit-identical to per-update UpdateEndpoint calls.
+  /// edge {endpoint, others[i]} += deltas[i] — building its prologue
+  /// (ForEachEdgeChunk) once for every round bank. Bit-identical to
+  /// per-update UpdateEndpoint calls.
   void ApplyBatch(NodeId endpoint, Span<const NodeId> others,
                   Span<const int64_t> deltas);
 
-  /// ApplyBatch with precomputed edge ids / incidence-signed deltas
-  /// (BatchEdgeIds), shared across composite sketches' many forests.
-  void ApplyBatchIds(NodeId endpoint, const uint64_t* ids,
-                     const int64_t* signed_deltas, size_t count);
+  /// ApplyBatch of a prologue already built, shared across composite
+  /// sketches' many forests.
+  void ApplyBatch(NodeId endpoint, const UpdateBatch& batch);
 
   /// Adds another sketch with identical parameterization.
   void Merge(const SpanningForestSketch& other);
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const SpanningForestSketch& other) const {
+    return n_ != other.n_ ? "n" : ListMismatch(banks_, other.banks_, "rounds");
+  }
 
   /// Extracts a spanning forest. Edge weights carry the |aggregate value|
   /// of the sampled edge slot (the edge multiplicity, or the integer edge

@@ -18,6 +18,7 @@
 #include <map>
 #include <vector>
 
+#include "src/core/node_sketch.h"
 #include "src/graph/edge_id.h"
 #include "src/sketch/l0_sampler.h"
 #include "src/sketch/support_estimator.h"
@@ -55,6 +56,17 @@ class SubgraphSketch {
 
   /// Adds another sketch with identical parameterization.
   void Merge(const SubgraphSketch& other);
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const SubgraphSketch& other) const {
+    if (n_ != other.n_) return "n";
+    if (order_ != other.order_) return "order";
+    if (columns_ != other.columns_) return "columns";
+    const char* field = ListMismatch(samplers_, other.samplers_, "samplers");
+    return field != nullptr ? field : support_.MismatchWith(other.support_);
+  }
 
   /// Canonical codes of one sample per sampler (isomorphism classes of
   /// uniformly sampled non-empty induced subgraphs).

@@ -66,6 +66,15 @@ class WeightedSparsifier {
   /// Adds another sketch with identical parameterization.
   void Merge(const WeightedSparsifier& other);
 
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const WeightedSparsifier& other) const {
+    if (n_ != other.n_) return "n";
+    if (max_weight_ != other.max_weight_) return "max weight";
+    return ListMismatch(classes_, other.classes_, "weight classes");
+  }
+
   /// Decodes each class and merges the per-class sparsifiers.
   Graph Extract() const;
 

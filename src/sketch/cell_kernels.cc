@@ -40,7 +40,7 @@ void FingerBatchScalar(uint64_t base, const uint64_t* ids, size_t count,
 
 namespace {
 
-constexpr size_t kL0RepMaxIds = CellKernelTable::kL0RepMaxIds;
+constexpr size_t kMaxIds = UpdateBatch::kMaxIds;
 
 // Levels are capped at 63, so a repetition has at most 64 cells.
 constexpr uint32_t kMaxAccLevels = 64;
@@ -50,14 +50,14 @@ constexpr uint32_t kMaxAccLevels = 64;
 template <CellKernelTable::BatchHashFn kSplitMix,
           CellKernelTable::BatchHashFn kFinger>
 void L0RepHashed(uint64_t level_base, uint64_t finger_base, uint32_t levels,
-                 const uint64_t* ids, const int64_t* deltas, size_t count,
-                 OneSparseCell* rep_cells) {
+                 const UpdateBatch& batch, OneSparseCell* rep_cells) {
   const uint32_t per_rep = levels + 1;
-  assert(count <= kL0RepMaxIds && per_rep <= kMaxAccLevels);
-  uint64_t words[kL0RepMaxIds];
-  uint64_t fingers[kL0RepMaxIds];
-  kSplitMix(level_base, ids, count, words);
-  kFinger(finger_base, ids, count, fingers);
+  const size_t count = batch.count;
+  assert(count <= kMaxIds && per_rep <= kMaxAccLevels);
+  uint64_t words[kMaxIds];
+  uint64_t fingers[kMaxIds];
+  kSplitMix(level_base, batch.ids, count, words);
+  kFinger(finger_base, batch.ids, count, fingers);
   // Suffix-sum scatter: an update surviving to level z contributes the
   // SAME (delta, id*delta, term) to every level 0..z, so add it once at
   // level z and fold acc[l] += acc[l+1] top-down — one accumulator touch
@@ -73,14 +73,15 @@ void L0RepHashed(uint64_t level_base, uint64_t finger_base, uint32_t levels,
   // MulMod61.
   for (size_t i = 0; i < count; ++i) {
     words[i] = GeometricLevel(words[i], levels);
-    const int64_t d = deltas[i];
+    const int64_t d = batch.deltas[i];
     if (d != 1) {
       fingers[i] = d == -1 ? SubMod61(0, fingers[i])
                            : MulMod61(OneSparseCell::ResidueOf(d), fingers[i]);
     }
   }
   for (size_t i = 0; i < count; ++i) {
-    acc[words[i]].ApplyTerm(ids[i], deltas[i], fingers[i]);
+    acc[words[i]].AddSums(batch.deltas[i],
+                          static_cast<int64_t>(batch.weights[i]), fingers[i]);
   }
   for (uint32_t l = per_rep - 1; l > 0; --l) acc[l - 1].Merge(acc[l]);
   for (uint32_t l = 0; l < per_rep; ++l) rep_cells[l].Merge(acc[l]);
@@ -228,14 +229,6 @@ __attribute__((target("avx512f"))) inline __m512i Abs64(__m512i x) {
   return _mm512_maskz_abs_epi64(__mmask8{0xff}, x);
 }
 
-// Lane-wise (a + b) mod M for residues a, b < M.
-__attribute__((target("avx512f"))) inline __m512i AddMod61Vec(__m512i a,
-                                                              __m512i b) {
-  const __m512i m = _mm512_set1_epi64(static_cast<int64_t>(kMersenne61));
-  const __m512i s = _mm512_add_epi64(a, b);
-  return _mm512_mask_sub_epi64(s, _mm512_cmpge_epu64_mask(s, m), s, m);
-}
-
 // Lane-wise ResidueOf(d)·f mod M for residues f < M, exact for
 // |d| < 2^32. With f = f_hi·2^32 + f_lo (f_hi < 2^29), |d|·f = lo +
 // hi·2^32 for the two vpmuludq products lo = |d|·f_lo < 2^64 and hi =
@@ -261,152 +254,231 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512i TermVec(
   return _mm512_mask_sub_epi64(s, negate, m, s);
 }
 
-// The 8 lanes of x, summed (wrapping) or OR-ed. Through an aligned store:
-// the _mm512_reduce_* intrinsics trip the same gcc 12 false positive on
-// their extract's pass-through operand.
-__attribute__((target("avx512f"))) inline uint64_t LaneSum(__m512i x) {
-  alignas(64) uint64_t lanes[8];
-  _mm512_store_si512(lanes, x);
-  uint64_t sum = 0;
-  for (uint64_t v : lanes) sum += v;
-  return sum;
+// TermVec for d in {-1, 0, 1}, without a multiply: f, (M - f) mod M or 0.
+__attribute__((target("avx512f,avx512dq"))) inline __m512i UnitTermVec(
+    __m512i d, __m512i f) {
+  const __m512i m = _mm512_set1_epi64(static_cast<int64_t>(kMersenne61));
+  const __m512i t = _mm512_maskz_mov_epi64(_mm512_test_epi64_mask(d, d), f);
+  const __mmask8 negate =
+      _mm512_mask_test_epi64_mask(_mm512_movepi64_mask(d), t, t);
+  return _mm512_mask_sub_epi64(t, negate, m, t);
 }
 
-__attribute__((target("avx512f"))) inline uint64_t LaneOr(__m512i x) {
-  alignas(64) uint64_t lanes[8];
-  _mm512_store_si512(lanes, x);
-  uint64_t bits = 0;
-  for (uint64_t v : lanes) bits |= v;
-  return bits;
-}
-
-// Lane sums of one level: count, index weight and fingerprint print.
-struct LevelSums512 {
-  __m512i count;
-  __m512i index_weight;
-  __m512i print;
-};
-
-// Adds the 8 lanes of `sums` to `cell`: the count and index-weight lanes
-// wrap exactly as the scalar sums, and 8 residues sum below 2^64.
-__attribute__((target("avx512f,avx512dq"))) inline void AddLaneSums(
-    const LevelSums512& sums, OneSparseCell* cell) {
-  cell->AddSums(static_cast<int64_t>(LaneSum(sums.count)),
-                static_cast<int64_t>(LaneSum(sums.index_weight)),
-                FoldMersenne61(LaneSum(sums.print)));
-}
-
-// The fused AVX-512 `l0_rep`. Every update is at level 0 and, when its
-// level word has bit 0 clear, at level 1, so those two cells are sums
-// kept in registers. Only the ~1/4 of updates whose word has its low two
-// bits clear (z >= 2) are compacted into a survivor list and go through
-// the scalar suffix-sum scatter over levels 2..top. OR-ing 1 << levels
-// into the word caps z at `levels`: with levels == 0 no lane reaches
-// level 1, with levels == 1 none reaches level 2.
-__attribute__((target("avx512f,avx512dq"))) void L0RepAvx512(
-    uint64_t level_base, uint64_t finger_base, uint32_t levels,
-    const uint64_t* ids, const int64_t* deltas, size_t count,
-    OneSparseCell* rep_cells) {
-  assert(count <= kL0RepMaxIds && levels < kMaxAccLevels);
-  const __m512i vlevel_base =
-      _mm512_set1_epi64(static_cast<int64_t>(level_base));
-  const __m512i vfinger_base =
-      _mm512_set1_epi64(static_cast<int64_t>(finger_base));
-  const __m512i cap =
-      _mm512_set1_epi64(static_cast<int64_t>(uint64_t{1} << levels));
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i three = _mm512_set1_epi64(3);
-  const __m512i narrow = _mm512_set1_epi64(0xffffffffLL);
-  LevelSums512 level0{_mm512_setzero_si512(), _mm512_setzero_si512(),
-                      _mm512_setzero_si512()};
-  LevelSums512 level1 = level0;
-  // OR of every survivor's lowest set word bit: 1 << (deepest level).
-  __m512i deepest = _mm512_setzero_si512();
-  // Survivors, compacted with full 8-lane stores: the last store may run
-  // 7 lanes past the last survivor.
-  uint64_t s_words[kL0RepMaxIds + 8];
-  uint64_t s_deltas[kL0RepMaxIds + 8];
-  uint64_t s_weights[kL0RepMaxIds + 8];
-  uint64_t s_terms[kL0RepMaxIds + 8];
-  size_t survivors = 0;
-  for (size_t i = 0; i < count; i += 8) {
-    const __mmask8 lanes = LaneMask(i, count);
-    // Masked-off lanes load id 0 and delta 0, so they add 0 everywhere.
-    const __m512i id = _mm512_maskz_loadu_epi64(lanes, ids + i);
-    const __m512i d = _mm512_maskz_loadu_epi64(lanes, deltas + i);
-    const __m512i word = _mm512_or_si512(
-        SplitMix64Vec512(_mm512_add_epi64(vlevel_base, id)), cap);
-    const __m512i f = FoldMersenne61Vec512(
-        SplitMix64Vec512(_mm512_add_epi64(vfinger_base, id)));
+// The fingerprint terms of 8 updates: UnitTermVec for all-unit batches,
+// else TermVec with a scalar MulMod61 for the lanes whose |d| >= 2^32
+// (INT64_MIN included).
+template <bool kUnit>
+__attribute__((target("avx512f,avx512dq"))) inline __m512i Terms(
+    __m512i d, __m512i f, const int64_t* deltas) {
+  if constexpr (kUnit) {
+    return UnitTermVec(d, f);
+  } else {
     __m512i t = TermVec(d, f);
-    const __mmask8 wide = _mm512_cmpgt_epu64_mask(Abs64(d), narrow);
+    const __mmask8 wide = _mm512_cmpgt_epu64_mask(
+        Abs64(d), _mm512_set1_epi64(0xffffffffLL));
     if (__builtin_expect(wide != 0, 0)) {
-      // |d| >= 2^32 (INT64_MIN included): scalar MulMod61.
       alignas(64) uint64_t fl[8];
       alignas(64) uint64_t tl[8];
       _mm512_store_si512(fl, f);
       _mm512_store_si512(tl, t);
       for (unsigned bits = wide; bits != 0; bits &= bits - 1) {
         const unsigned j = static_cast<unsigned>(__builtin_ctz(bits));
-        tl[j] = MulMod61(OneSparseCell::ResidueOf(deltas[i + j]), fl[j]);
+        tl[j] = MulMod61(OneSparseCell::ResidueOf(deltas[j]), fl[j]);
       }
       t = _mm512_load_si512(tl);
     }
-    const __m512i weight = _mm512_mullo_epi64(id, d);
-    level0.count = _mm512_add_epi64(level0.count, d);
-    level0.index_weight = _mm512_add_epi64(level0.index_weight, weight);
-    level0.print = AddMod61Vec(level0.print, t);
-    const __mmask8 at1 = _mm512_mask_testn_epi64_mask(lanes, word, one);
-    level1.count = _mm512_mask_add_epi64(level1.count, at1, level1.count, d);
-    level1.index_weight = _mm512_mask_add_epi64(
-        level1.index_weight, at1, level1.index_weight, weight);
-    level1.print = _mm512_mask_mov_epi64(level1.print, at1,
-                                         AddMod61Vec(level1.print, t));
-    const __mmask8 at2 = _mm512_mask_testn_epi64_mask(lanes, word, three);
-    deepest = _mm512_mask_or_epi64(
-        deepest, at2, deepest,
-        _mm512_and_si512(word, _mm512_sub_epi64(_mm512_setzero_si512(), word)));
-    _mm512_storeu_si512(s_words + survivors,
-                        _mm512_maskz_compress_epi64(at2, word));
-    _mm512_storeu_si512(s_deltas + survivors,
-                        _mm512_maskz_compress_epi64(at2, d));
-    _mm512_storeu_si512(s_weights + survivors,
-                        _mm512_maskz_compress_epi64(at2, weight));
-    _mm512_storeu_si512(s_terms + survivors,
-                        _mm512_maskz_compress_epi64(at2, t));
-    survivors += static_cast<size_t>(__builtin_popcount(at2));
+    return t;
+  }
+}
+
+// The 8 lanes of x, summed (wrapping). The maskz extracts sidestep the
+// gcc 12 false positive that _mm512_reduce_add_epi64 and
+// _mm512_castsi512_si256 trip.
+__attribute__((target("avx512f"))) inline uint64_t LaneSum(__m512i x) {
+  const __m256i half =
+      _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(__mmask8{0xff}, x, 0),
+                       _mm512_maskz_extracti64x4_epi64(__mmask8{0xff}, x, 1));
+  const __m128i quarter = _mm_add_epi64(_mm256_castsi256_si128(half),
+                                        _mm256_extracti128_si256(half, 1));
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(quarter)) +
+         static_cast<uint64_t>(_mm_extract_epi64(quarter, 1));
+}
+
+// Lane sums of one level: count, index weight, and the fingerprint terms
+// split at bit 32, so adding a term is two plain adds and the level
+// reduces mod M once per call. A lane adds at most kMaxIds / 8 = 64
+// terms, so its low half stays below 2^38 and its high half below 2^35.
+struct LevelSums512 {
+  __m512i count;
+  __m512i weight;
+  __m512i lo;
+  __m512i hi;
+};
+
+// The lanes among `lanes` whose level word has its low l bits clear: the
+// updates that reach level l.
+__attribute__((target("avx512f"))) inline __mmask8 AtLevel(__mmask8 lanes,
+                                                           __m512i word,
+                                                           unsigned l) {
+  return _mm512_mask_testn_epi64_mask(
+      lanes, word, _mm512_set1_epi64((int64_t{1} << l) - 1));
+}
+
+__attribute__((target("avx512f"))) inline void AddToLevel(
+    LevelSums512* s, __mmask8 at, __m512i d, __m512i w, __m512i lo,
+    __m512i hi) {
+  s->count = _mm512_mask_add_epi64(s->count, at, s->count, d);
+  s->weight = _mm512_mask_add_epi64(s->weight, at, s->weight, w);
+  s->lo = _mm512_mask_add_epi64(s->lo, at, s->lo, lo);
+  s->hi = _mm512_mask_add_epi64(s->hi, at, s->hi, hi);
+}
+
+// Adds a level's lane sums to `cell`. Count and weight wrap exactly as
+// the scalar sums. The halves sum to lo < 2^41 and hi < 2^38, and
+// hi·2^32 ≡ ((hi mod 2^29) << 32) + (hi >> 29) (mod M), so the print is
+// one fold of a value below 2^62.
+__attribute__((target("avx512f"))) inline void AddLaneSums(
+    const LevelSums512& s, OneSparseCell* cell) {
+  const uint64_t lo = LaneSum(s.lo);
+  const uint64_t hi = LaneSum(s.hi);
+  const uint64_t folded =
+      ((hi & ((uint64_t{1} << 29) - 1)) << 32) + (hi >> 29) + lo;
+  cell->AddSums(static_cast<int64_t>(LaneSum(s.count)),
+                static_cast<int64_t>(LaneSum(s.weight)),
+                FoldMersenne61(folded));
+}
+
+// `l0_rep` of at most 8 updates: one vector step of hashes and terms,
+// then each update added straight to its levels 0..z. The dispatcher
+// sends it batches below 4 updates, where it beats the sixteen lane
+// reductions of the full pass (a 1-id call costs about half as much):
+// gutters flush such batches at stream ends and snapshot barriers.
+template <bool kUnit>
+__attribute__((target("avx512f,avx512dq"))) void L0RepAvx512Few(
+    uint64_t level_base, uint64_t finger_base, uint32_t levels,
+    const UpdateBatch& batch, OneSparseCell* rep_cells) {
+  const __mmask8 lanes = LaneMask(0, batch.count);
+  const __m512i id = _mm512_maskz_loadu_epi64(lanes, batch.ids);
+  const __m512i d = _mm512_maskz_loadu_epi64(lanes, batch.deltas);
+  const __m512i word = SplitMix64Vec512(_mm512_add_epi64(
+      _mm512_set1_epi64(static_cast<int64_t>(level_base)), id));
+  const __m512i f = FoldMersenne61Vec512(SplitMix64Vec512(_mm512_add_epi64(
+      _mm512_set1_epi64(static_cast<int64_t>(finger_base)), id)));
+  alignas(64) uint64_t words[8];
+  alignas(64) uint64_t terms[8];
+  _mm512_store_si512(words, word);
+  _mm512_store_si512(terms, Terms<kUnit>(d, f, batch.deltas));
+  for (size_t j = 0; j < batch.count; ++j) {
+    const uint32_t z = GeometricLevel(words[j], levels);
+    for (uint32_t l = 0; l <= z; ++l) {
+      rep_cells[l].AddSums(batch.deltas[j],
+                           static_cast<int64_t>(batch.weights[j]), terms[j]);
+    }
+  }
+}
+
+// The fused AVX-512 `l0_rep`. An update reaches level l iff the low l
+// bits of its level word are clear, so 15/16 of updates stop at levels
+// 0-3: those four levels are lane sums kept in registers. The updates
+// that reach level 4 are marked in a bitmask and go through a scalar
+// suffix-sum scatter over levels 4..top, reading their words and terms
+// from plain per-lane stores. OR-ing 1 << levels into the word caps z at
+// `levels`: with levels < 4 no lane is marked, and no cell past
+// rep_cells[levels] is written.
+template <bool kUnit>
+__attribute__((target("avx512f,avx512dq"))) void L0RepAvx512Batch(
+    uint64_t level_base, uint64_t finger_base, uint32_t levels,
+    const UpdateBatch& batch, OneSparseCell* rep_cells) {
+  const size_t count = batch.count;
+  assert(count <= kMaxIds && levels < kMaxAccLevels);
+  const __m512i vlevel_base =
+      _mm512_set1_epi64(static_cast<int64_t>(level_base));
+  const __m512i vfinger_base =
+      _mm512_set1_epi64(static_cast<int64_t>(finger_base));
+  const __m512i cap =
+      _mm512_set1_epi64(static_cast<int64_t>(uint64_t{1} << levels));
+  const __m512i low32 = _mm512_set1_epi64(0xffffffffLL);
+  const __m512i zero = _mm512_setzero_si512();
+  LevelSums512 level0{zero, zero, zero, zero};
+  LevelSums512 level1 = level0;
+  LevelSums512 level2 = level0;
+  LevelSums512 level3 = level0;
+  alignas(64) uint64_t words[kMaxIds];
+  alignas(64) uint64_t terms[kMaxIds];
+  uint64_t deep[kMaxIds / 64] = {};  // bit i: update i reaches level 4
+  for (size_t i = 0; i < count; i += 8) {
+    // Masked-off lanes load id 0 and delta 0, so they add 0 everywhere
+    // and are never marked.
+    const __mmask8 lanes = LaneMask(i, count);
+    const __m512i id = _mm512_maskz_loadu_epi64(lanes, batch.ids + i);
+    const __m512i d = _mm512_maskz_loadu_epi64(lanes, batch.deltas + i);
+    const __m512i w = _mm512_maskz_loadu_epi64(lanes, batch.weights + i);
+    const __m512i word = _mm512_or_si512(
+        SplitMix64Vec512(_mm512_add_epi64(vlevel_base, id)), cap);
+    const __m512i f = FoldMersenne61Vec512(
+        SplitMix64Vec512(_mm512_add_epi64(vfinger_base, id)));
+    const __m512i t = Terms<kUnit>(d, f, batch.deltas + i);
+    const __m512i lo = _mm512_and_si512(t, low32);
+    const __m512i hi = Srli64(t, 32);
+    AddToLevel(&level0, lanes, d, w, lo, hi);
+    AddToLevel(&level1, AtLevel(lanes, word, 1), d, w, lo, hi);
+    AddToLevel(&level2, AtLevel(lanes, word, 2), d, w, lo, hi);
+    AddToLevel(&level3, AtLevel(lanes, word, 3), d, w, lo, hi);
+    _mm512_store_si512(words + i, word);
+    _mm512_store_si512(terms + i, t);
+    deep[i / 64] |= uint64_t{AtLevel(lanes, word, 4)} << (i % 64);
   }
   AddLaneSums(level0, &rep_cells[0]);
   if (levels == 0) return;
   AddLaneSums(level1, &rep_cells[1]);
-  if (survivors == 0) return;
-  // Suffix-sum scatter of the survivors over levels 2..top, in plain
-  // arrays so only those levels are zeroed. The sums wrap mod 2^64, like
-  // the lanes and the cells.
-  const uint32_t top =
-      63u - static_cast<uint32_t>(__builtin_clzll(LaneOr(deepest)));
+  if (levels == 1) return;
+  AddLaneSums(level2, &rep_cells[2]);
+  if (levels == 2) return;
+  AddLaneSums(level3, &rep_cells[3]);
+  if (levels == 3) return;
+  // Suffix-sum scatter of the marked updates over levels 4..top, in plain
+  // arrays. The sums wrap mod 2^64, like the lanes and the cells.
   uint64_t acc_count[kMaxAccLevels];
   uint64_t acc_weight[kMaxAccLevels];
   uint64_t acc_print[kMaxAccLevels];
-  for (uint32_t l = 2; l <= top; ++l) {
+  for (uint32_t l = 4; l <= levels; ++l) {
     acc_count[l] = 0;
     acc_weight[l] = 0;
     acc_print[l] = 0;
   }
-  for (size_t j = 0; j < survivors; ++j) {
-    const uint32_t z = static_cast<uint32_t>(__builtin_ctzll(s_words[j]));
-    acc_count[z] += s_deltas[j];
-    acc_weight[z] += s_weights[j];
-    acc_print[z] = AddMod61(acc_print[z], s_terms[j]);
+  uint32_t top = 3;
+  for (size_t g = 0; g * 64 < count; ++g) {
+    for (uint64_t bits = deep[g]; bits != 0; bits &= bits - 1) {
+      const size_t j = g * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+      const uint32_t z = static_cast<uint32_t>(__builtin_ctzll(words[j]));
+      top = z > top ? z : top;
+      acc_count[z] += static_cast<uint64_t>(batch.deltas[j]);
+      acc_weight[z] += batch.weights[j];
+      acc_print[z] = AddMod61(acc_print[z], terms[j]);
+    }
   }
-  for (uint32_t l = top; l > 2; --l) {
+  for (uint32_t l = top; l > 4; --l) {
     acc_count[l - 1] += acc_count[l];
     acc_weight[l - 1] += acc_weight[l];
     acc_print[l - 1] = AddMod61(acc_print[l - 1], acc_print[l]);
   }
-  for (uint32_t l = 2; l <= top; ++l) {
+  for (uint32_t l = 4; l <= top; ++l) {
     rep_cells[l].AddSums(static_cast<int64_t>(acc_count[l]),
                          static_cast<int64_t>(acc_weight[l]), acc_print[l]);
+  }
+}
+
+// The dispatched AVX-512 `l0_rep`: the all-unit or general term, the
+// full pass or, below 4 updates, the few-update one.
+__attribute__((target("avx512f,avx512dq"))) void L0RepAvx512(
+    uint64_t level_base, uint64_t finger_base, uint32_t levels,
+    const UpdateBatch& batch, OneSparseCell* rep_cells) {
+  if (batch.count < 4) {
+    (batch.unit ? &L0RepAvx512Few<true> : &L0RepAvx512Few<false>)(
+        level_base, finger_base, levels, batch, rep_cells);
+  } else {
+    (batch.unit ? &L0RepAvx512Batch<true> : &L0RepAvx512Batch<false>)(
+        level_base, finger_base, levels, batch, rep_cells);
   }
 }
 

@@ -8,10 +8,16 @@
 // hashes with them and then scatters scalar.
 //
 // The ℓ₀ core has its own fused entry, `l0_rep`: one repetition's whole
-// measurement of a chunk (both hashes, the level, the fingerprint term and
-// the per-level sums) in one call, so a vector backend can keep the two
-// levels every other update reaches (0 and 1) in registers and send only
-// the updates that reach level 2 through a scalar scatter.
+// measurement of an `UpdateBatch` (both hashes, the level, the fingerprint
+// term and the per-level sums) in one call. The batch is the per-batch
+// prologue every bank and repetition shares: ids, deltas, the index
+// weights id·δ and an "every |δ| <= 1" flag, computed once. The vector
+// backend keeps the four levels that 15/16 of updates stop at (0-3) as
+// lane sums in registers, each fingerprint term summed as two 32-bit
+// halves and reduced mod 2^61 - 1 once per level per call, and sends
+// only the updates that reach level 4 through a scalar scatter.
+// All-unit batches (plain insert/delete streams) get their terms without
+// a multiply: f, M - f or 0.
 //
 // Three backends sit behind a one-time runtime dispatch to the widest one
 // the CPU supports:
@@ -56,25 +62,54 @@ void SplitMix64BatchScalar(uint64_t base, const uint64_t* ids, size_t count,
 void FingerBatchScalar(uint64_t base, const uint64_t* ids, size_t count,
                        uint64_t* out);
 
+/// One batch of vector updates x[ids[i]] += deltas[i], i < count, with
+/// what every ℓ₀ repetition would otherwise recompute from it: the index
+/// weights ids[i]·deltas[i] (mod 2^64) and whether every |deltas[i]| <= 1.
+/// Built once per gutter batch (at most kMaxIds updates; longer batches
+/// are applied chunk by chunk) and read by every bank and repetition.
+/// Fixed storage: building one allocates nothing.
+struct UpdateBatch {
+  static constexpr size_t kMaxIds = 512;
+
+  /// Empties the batch.
+  void Clear() {
+    count = 0;
+    unit = true;
+  }
+
+  /// Appends x[id] += delta; count must be below kMaxIds.
+  void Push(uint64_t id, int64_t delta) {
+    ids[count] = id;
+    deltas[count] = delta;
+    weights[count] = id * static_cast<uint64_t>(delta);
+    unit &= delta >= -1 && delta <= 1;
+    ++count;
+  }
+
+  size_t count = 0;
+  bool unit = true;  ///< every |deltas[i]| <= 1
+  uint64_t ids[kMaxIds];
+  int64_t deltas[kMaxIds];
+  uint64_t weights[kMaxIds];
+};
+
 /// One compiled backend: its name, its two batch hash kernels and its
 /// fused ℓ₀ repetition kernel.
 struct CellKernelTable {
   using BatchHashFn = void (*)(uint64_t base, const uint64_t* ids,
                                size_t count, uint64_t* out);
-  /// Applies one ℓ₀ repetition's measurement of `count` <= kL0RepMaxIds
-  /// updates to that repetition's `levels + 1` cells (levels <= 63):
-  ///   rep_cells[l] += Σ_{i : z_i >= l} (d_i, ids_i·d_i, t_i), where
+  /// Applies one ℓ₀ repetition's measurement of `batch` to that
+  /// repetition's `levels + 1` cells (levels <= 63):
+  ///   rep_cells[l] += Σ_{i : z_i >= l} (d_i, w_i, t_i), where
   ///   z_i = GeometricLevel(SplitMix64(level_base + ids_i), levels),
   ///   t_i = ResidueOf(d_i)·(SplitMix64(finger_base + ids_i) mod M) mod M,
-  /// d_i = deltas[i] and M = 2^61 - 1. With the 0x5e7e / 0xf17e Mix64
-  /// bases of a repetition seed this is the ℓ₀ sampler's measurement
-  /// (L0CellsUpdate) of the whole chunk. Writes no cell past
-  /// rep_cells[levels].
+  /// d_i = batch.deltas[i], w_i = batch.weights[i] and M = 2^61 - 1. With
+  /// the 0x5e7e / 0xf17e Mix64 bases of a repetition seed this is the ℓ₀
+  /// sampler's measurement (L0CellsUpdate) of the whole batch. Writes no
+  /// cell past rep_cells[levels].
   using L0RepFn = void (*)(uint64_t level_base, uint64_t finger_base,
-                           uint32_t levels, const uint64_t* ids,
-                           const int64_t* deltas, size_t count,
+                           uint32_t levels, const UpdateBatch& batch,
                            OneSparseCell* rep_cells);
-  static constexpr size_t kL0RepMaxIds = 256;
 
   const char* name;
   BatchHashFn splitmix;

@@ -16,7 +16,10 @@
 //                        (src/core/node_sketch.h), where all n node
 //                        samplers live in one contiguous allocation.
 // Both perform identical linear measurements for equal L0Params, so cells
-// are bit-identical regardless of where they live.
+// are bit-identical regardless of where they live. The batch path
+// (L0CellsApply) takes a prepared UpdateBatch (src/sketch/cell_kernels.h)
+// and the repetitions' Mix64 bases, which banks derive once, not per
+// batch.
 #ifndef GRAPHSKETCH_SRC_SKETCH_L0_SAMPLER_H_
 #define GRAPHSKETCH_SRC_SKETCH_L0_SAMPLER_H_
 
@@ -25,6 +28,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/sketch/cell_kernels.h"
 #include "src/sketch/one_sparse.h"
 
 namespace gsketch {
@@ -53,9 +57,20 @@ struct L0Params {
   }
 
   bool operator==(const L0Params& o) const {
-    return domain == o.domain && repetitions == o.repetitions &&
-           levels == o.levels && seed == o.seed;
+    return MismatchWith(o) == nullptr;
   }
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const L0Params& o) const {
+    if (domain != o.domain) return "domain";
+    if (repetitions != o.repetitions) return "repetitions";
+    if (levels != o.levels) return "levels";
+    if (seed != o.seed) return "seed";
+    return nullptr;
+  }
+
   bool operator!=(const L0Params& o) const { return !(*this == o); }
 };
 
@@ -74,15 +89,30 @@ void L0CellsUpdateTwo(const L0Params& p, OneSparseCell* cells_a,
                       OneSparseCell* cells_b, uint64_t index, int64_t delta_a,
                       int64_t delta_b);
 
-/// Applies x[ids[i]] += deltas[i] for i in [0, count) to ONE sampler's
-/// cells — the gutter-flush fast path. Per chunk of up to 256 updates,
-/// each repetition is one call of the dispatched backend's fused `l0_rep`
-/// kernel (src/sketch/cell_kernels.h): the repetition's seed is derived
-/// once per chunk, not once per update, and on AVX-512 hosts levels 0
-/// and 1 are summed in registers while only the ~1/4 of updates that
-/// reach level 2 are scattered. Cell updates are commutative sums, so the
-/// resulting cells are bit-identical to `count` L0CellsUpdate calls in
-/// stream order.
+/// The Mix64 bases of one repetition's two hashes: with rep_seed =
+/// DeriveSeed(seed, r), Mix64(rep_seed, 0x5e7e, id) == SplitMix64(level +
+/// id) and Mix64(rep_seed, 0xf17e, id) == SplitMix64(finger + id).
+struct L0RepBases {
+  uint64_t level = 0;
+  uint64_t finger = 0;
+};
+
+/// Every repetition's bases under `p`, in repetition order. Banks compute
+/// them once, at construction and when parsed, not once per batch.
+std::vector<L0RepBases> L0BasesOf(const L0Params& p);
+
+/// Applies x[batch.ids[i]] += batch.deltas[i] to ONE sampler's cells, with
+/// `bases` = L0BasesOf(p): one call of the dispatched backend's fused
+/// `l0_rep` kernel (src/sketch/cell_kernels.h) per repetition. On AVX-512
+/// hosts levels 0-3 are summed in registers and only the ~1/16 of updates
+/// that reach level 4 are scattered. Cell updates are commutative sums, so
+/// the resulting cells are bit-identical to per-update L0CellsUpdate calls
+/// in stream order.
+void L0CellsApply(const L0Params& p, const L0RepBases* bases,
+                  OneSparseCell* cells, const UpdateBatch& batch);
+
+/// L0CellsApply of `count` updates given as plain arrays, in chunks of
+/// UpdateBatch::kMaxIds, deriving the repetitions' bases once per call.
 void L0CellsUpdateBatch(const L0Params& p, OneSparseCell* cells,
                         const uint64_t* ids, const int64_t* deltas,
                         size_t count);
@@ -125,6 +155,13 @@ class L0Sampler {
 
   /// Adds another sampler with identical parameterization.
   void Merge(const L0Sampler& other);
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const L0Sampler& other) const {
+    return params_.MismatchWith(other.params_);
+  }
 
   /// Draws a sample, or nullopt if every repetition fails (probability
   /// exp(-Ω(repetitions))) or the vector is zero.

@@ -52,9 +52,21 @@ struct RecoveryParams {
   }
 
   bool operator==(const RecoveryParams& o) const {
-    return domain == o.domain && capacity == o.capacity && rows == o.rows &&
-           buckets == o.buckets && seed == o.seed;
+    return MismatchWith(o) == nullptr;
   }
+
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const RecoveryParams& o) const {
+    if (domain != o.domain) return "domain";
+    if (capacity != o.capacity) return "capacity";
+    if (rows != o.rows) return "rows";
+    if (buckets != o.buckets) return "buckets";
+    if (seed != o.seed) return "seed";
+    return nullptr;
+  }
+
   bool operator!=(const RecoveryParams& o) const { return !(*this == o); }
 };
 

@@ -26,6 +26,16 @@ class SupportEstimator {
   /// Adds another estimator with identical parameterization.
   void Merge(const SupportEstimator& other);
 
+  /// The first measurement parameter in which `other` differs (a field
+  /// name such as "seed"), or nullptr when the two measure identically
+  /// and Merge may add them.
+  const char* MismatchWith(const SupportEstimator& other) const {
+    if (domain_ != other.domain_) return "domain";
+    if (reps_ != other.reps_) return "repetitions";
+    if (seed_ != other.seed_) return "seed";
+    return nullptr;
+  }
+
   /// Median-of-repetitions estimate of |support(x)|; 0 for a zero vector.
   uint64_t Estimate() const;
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace gsketch {
 namespace {
@@ -136,12 +137,16 @@ std::optional<BenchReport> ReadBenchReportFile(const std::string& path,
   return ParseBenchReport(text, error);
 }
 
-BenchGateResult CompareBenchReports(const BenchReport& baseline,
-                                    const BenchReport& fresh,
-                                    double max_regress_pct,
-                                    const std::string& key_prefix,
-                                    bool lower_is_better,
-                                    double abs_slack) {
+namespace {
+
+// The gate behind CompareBenchReports and CompareLayerCosts over the
+// baseline keys `selected` accepts; `label` names them in the summary.
+template <typename Selected>
+BenchGateResult CompareSelected(const BenchReport& baseline,
+                                const BenchReport& fresh,
+                                double max_regress_pct, Selected selected,
+                                const std::string& label,
+                                bool lower_is_better, double abs_slack) {
   BenchGateResult result;
   char line[256];
   if (baseline.bench != fresh.bench) {
@@ -166,7 +171,7 @@ BenchGateResult CompareBenchReports(const BenchReport& baseline,
           ? "REGRESSION %-40s %.4g -> %.4g (%+.1f%%, ceiling %.4g)"
           : "REGRESSION %-40s %.0f -> %.0f (%+.1f%%, floor %.0f)";
   for (const auto& [key, base_val] : baseline.metrics) {
-    if (key.compare(0, key_prefix.size(), key_prefix) != 0) continue;
+    if (!selected(key)) continue;
     ++result.keys_compared;
     auto fresh_val = fresh.Metric(key);
     if (!fresh_val.has_value()) {
@@ -196,12 +201,63 @@ BenchGateResult CompareBenchReports(const BenchReport& baseline,
     }
   }
   std::snprintf(line, sizeof(line),
-                "%s: %zu \"%s*\" key(s) compared, tolerance %c%.0f%%%s",
+                "%s: %zu \"%s\" key(s) compared, tolerance %c%.0f%%%s",
                 result.ok ? "PASS" : "FAIL", result.keys_compared,
-                key_prefix.c_str(), lower_is_better ? '+' : '-',
-                max_regress_pct, lower_is_better ? " plus slack" : "");
+                label.c_str(), lower_is_better ? '+' : '-', max_regress_pct,
+                abs_slack > 0.0 ? " plus slack" : "");
   result.lines.emplace_back(line);
   return result;
+}
+
+bool EndsWith(const std::string& s, const char* suffix) {
+  const size_t n = std::strlen(suffix);
+  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
+}  // namespace
+
+BenchGateResult CompareBenchReports(const BenchReport& baseline,
+                                    const BenchReport& fresh,
+                                    double max_regress_pct,
+                                    const std::string& key_prefix,
+                                    bool lower_is_better,
+                                    double abs_slack) {
+  return CompareSelected(
+      baseline, fresh, max_regress_pct,
+      [&](const std::string& key) {
+        return key.compare(0, key_prefix.size(), key_prefix) == 0;
+      },
+      key_prefix + "*", lower_is_better, abs_slack);
+}
+
+bool IsLayerCostKey(const std::string& key) {
+  return EndsWith(key, "_ns_per_id") || EndsWith(key, "_ns_per_half");
+}
+
+BenchGateResult CompareLayerCosts(const BenchReport& baseline,
+                                  const BenchReport& fresh,
+                                  double max_regress_pct) {
+  const auto base_lanes = baseline.Metric("kernel_lanes");
+  const auto fresh_lanes = fresh.Metric("kernel_lanes");
+  if (!base_lanes || !fresh_lanes || *base_lanes != *fresh_lanes) {
+    BenchGateResult result;
+    for (const auto& metric : baseline.metrics) {
+      if (IsLayerCostKey(metric.first)) ++result.keys_skipped;
+    }
+    if (result.keys_skipped > 0) {
+      char line[256];
+      std::snprintf(line, sizeof(line),
+                    "SKIP      %zu per-layer cost key(s): kernel_lanes %g "
+                    "in the baseline, %g in the fresh run",
+                    result.keys_skipped, base_lanes.value_or(0),
+                    fresh_lanes.value_or(0));
+      result.lines.emplace_back(line);
+    }
+    return result;
+  }
+  return CompareSelected(baseline, fresh, max_regress_pct, &IsLayerCostKey,
+                         "*_ns_per_id|*_ns_per_half",
+                         /*lower_is_better=*/true, /*abs_slack=*/0.0);
 }
 
 }  // namespace gsketch

@@ -39,6 +39,9 @@ std::optional<BenchReport> ReadBenchReportFile(const std::string& path,
 struct BenchGateResult {
   bool ok = true;
   size_t keys_compared = 0;
+  /// Baseline keys the gate selected but could not compare (per-layer
+  /// costs measured on another kernel backend).
+  size_t keys_skipped = 0;
   /// Human-readable per-key lines ("ok"/"REGRESSION"/"MISSING"), plus a
   /// summary; printed verbatim by tools/bench_compare.
   std::vector<std::string> lines;
@@ -62,6 +65,19 @@ BenchGateResult CompareBenchReports(const BenchReport& baseline,
                                         "updates_per_sec",
                                     bool lower_is_better = false,
                                     double abs_slack = 0.0);
+
+/// True for the per-layer cost keys (E16): names ending in "_ns_per_id"
+/// or "_ns_per_half".
+bool IsLayerCostKey(const std::string& key);
+
+/// Gates every per-layer cost key of `baseline` lower-is-better: a key
+/// missing from `fresh`, or fresh > baseline * (1 + max_regress_pct/100),
+/// fails. Nanosecond costs compare only on one kernel backend, so when
+/// the reports' "kernel_lanes" differ (or either lacks it) no key is
+/// gated: the result passes with one SKIP line and `keys_skipped` set.
+BenchGateResult CompareLayerCosts(const BenchReport& baseline,
+                                  const BenchReport& fresh,
+                                  double max_regress_pct);
 
 }  // namespace gsketch
 

@@ -230,6 +230,83 @@ TEST(BenchGate, LowerIsBetterStillFailsOnMissingKeys) {
   EXPECT_FALSE(res.ok);
 }
 
+// ------------------------------------------ per-layer costs (E16) --
+
+// An E16-shaped report: nanosecond costs per layer, then the host keys.
+const char kLayerJson[] =
+    "{\n"
+    "  \"bench\": \"E16\",\n"
+    "  \"title\": \"per-layer costs of the apply path\",\n"
+    "  \"metrics\": {\n"
+    "    \"n\": 1024,\n"
+    "    \"hash_ns_per_id\": 1,\n"
+    "    \"scatter_ns_per_half\": 16,\n"
+    "    \"apply_ns_per_half\": 200,\n"
+    "    \"nproc\": 4,\n"
+    "    \"kernel_lanes\": 8\n"
+    "  }\n"
+    "}\n";
+
+TEST(BenchGate, LayerCostKeysAreTheNsPerIdAndNsPerHalfSuffixes) {
+  EXPECT_TRUE(IsLayerCostKey("hash_ns_per_id"));
+  EXPECT_TRUE(IsLayerCostKey("apply_ns_per_half"));
+  EXPECT_FALSE(IsLayerCostKey("ns_per_id_total"));
+  EXPECT_FALSE(IsLayerCostKey("updates_per_sec_1thread"));
+  EXPECT_FALSE(IsLayerCostKey("kernel_lanes"));
+}
+
+TEST(BenchGate, LayerCostsGateLowerIsBetter) {
+  BenchReport base = MustParse(kLayerJson);
+  // apply 200 -> 240 ns (+20%): past the +15% ceiling of 230, must FAIL,
+  // naming the key; n, nproc and kernel_lanes are never compared.
+  BenchGateResult res = CompareLayerCosts(
+      base, WithScaledKey(base, "apply_ns_per_half", 1.2), 15.0);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.keys_compared, 3u);
+  bool flagged = false;
+  for (const auto& line : res.lines) {
+    if (line.find("REGRESSION") != std::string::npos &&
+        line.find("apply_ns_per_half") != std::string::npos) {
+      flagged = true;
+    }
+  }
+  EXPECT_TRUE(flagged) << "the regressed cost must be named";
+  // +10% on one cost and a 2x drop on another pass: lower is better.
+  EXPECT_TRUE(CompareLayerCosts(
+                  base,
+                  WithScaledKey(WithScaledKey(base, "hash_ns_per_id", 1.1),
+                                "scatter_ns_per_half", 0.5),
+                  15.0)
+                  .ok);
+  // A cost missing from the fresh run fails.
+  BenchReport fresh = base;
+  fresh.metrics.erase(fresh.metrics.begin() + 2);  // scatter_ns_per_half
+  EXPECT_FALSE(CompareLayerCosts(base, fresh, 15.0).ok);
+}
+
+TEST(BenchGate, LayerCostsSkipAcrossKernelBackends) {
+  BenchReport base = MustParse(kLayerJson);
+  // A 4-lane (AVX2) run 3x slower than an 8-lane baseline is not a
+  // regression of the change: nothing is gated, one SKIP line says why.
+  BenchReport fresh = WithScaledKey(
+      WithScaledKey(base, "apply_ns_per_half", 3.0), "kernel_lanes", 0.5);
+  BenchGateResult res = CompareLayerCosts(base, fresh, 15.0);
+  EXPECT_TRUE(res.ok);
+  EXPECT_EQ(res.keys_compared, 0u);
+  EXPECT_EQ(res.keys_skipped, 3u);
+  ASSERT_EQ(res.lines.size(), 1u);
+  EXPECT_EQ(res.lines[0].find("SKIP"), 0u) << res.lines[0];
+  // A baseline without kernel_lanes cannot vouch for its backend either.
+  BenchReport no_lanes = base;
+  no_lanes.metrics.pop_back();
+  EXPECT_EQ(CompareLayerCosts(no_lanes, fresh, 15.0).keys_skipped, 3u);
+  // Throughput baselines have no cost keys: nothing gated, nothing said.
+  BenchReport e13 = MustParse(kBaselineJson);
+  BenchGateResult none = CompareLayerCosts(e13, e13, 15.0);
+  EXPECT_TRUE(none.ok);
+  EXPECT_EQ(none.keys_compared + none.keys_skipped, 0u);
+}
+
 TEST(BenchGate, CustomPrefixSelectsWhichMetricsAreGated) {
   BenchReport base = MustParse(kBaselineJson);
   BenchReport fresh = WithScaledKey(base, "speedup_best", 0.5);

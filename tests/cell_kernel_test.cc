@@ -47,10 +47,11 @@ std::vector<uint64_t> TestIds(size_t count, uint64_t seed) {
   return ids;
 }
 
-// Lengths straddling the 4-lane AVX2 and 8-lane AVX-512 widths and the
-// kChunk=256 tile used by the cell cores, plus 0 and 1.
-const size_t kLengths[] = {0,  1,  2,  3,  4,   5,   7,  8,
-                           9,  15, 16, 17, 31, 255, 256, 257};
+// Lengths straddling the 4-lane AVX2 and 8-lane AVX-512 widths, the
+// 64-update words of the AVX-512 ℓ₀ kernel's level-4 bitmask and the
+// UpdateBatch::kMaxIds = 512 chunk of the ℓ₀ cores, plus 0 and 1.
+const size_t kLengths[] = {0,  1,  2,   3,   4,   5,   7,   8,   9,   15, 16,
+                           17, 31, 255, 256, 257, 511, 512, 513};
 
 // The backends under test: every compiled one this CPU runs, plus the
 // dispatched entry points themselves.
@@ -122,6 +123,11 @@ const int64_t kL0Deltas[] = {0,        1,        -1,       2,
                              1 - kP32, kP32,     -kP32,    kP32 + 1,
                              -kP32 - 1, kP32 << 8, -(kP32 << 8)};
 
+// The all-unit batches of plain streams (the kernels' multiply-free
+// term), with and without the zero deltas of coalesced cancellations.
+const int64_t kUnitDeltas[] = {1, -1};
+const int64_t kUnitOrZeroDeltas[] = {1, -1, 0, 1, -1};
+
 // Updates with ids below 2^20 (below 2^12 for the ±2^40 deltas), so
 // Σ|id·delta| stays far under the documented 2^63 for 513 updates.
 struct L0Updates {
@@ -129,18 +135,28 @@ struct L0Updates {
   std::vector<int64_t> deltas;
 };
 
-L0Updates TestL0Updates(size_t count, uint64_t domain, uint64_t seed) {
+template <size_t kN = std::size(kL0Deltas)>
+L0Updates TestL0Updates(size_t count, uint64_t domain, uint64_t seed,
+                        const int64_t (&delta_set)[kN] = kL0Deltas) {
   L0Updates u;
   uint64_t x = seed;
   for (size_t i = 0; i < count; ++i) {
     x += 0x9e3779b97f4a7c15ULL;
     const uint64_t h = SplitMix64(x);
-    const int64_t d = kL0Deltas[(h >> 32) % std::size(kL0Deltas)];
+    const int64_t d = delta_set[(h >> 32) % kN];
     const uint64_t id_bits = d > kP32 + 1 || d < -kP32 - 1 ? 0xfffu : 0xfffffu;
     u.ids.push_back((h & id_bits) % domain);
     u.deltas.push_back(d);
   }
   return u;
+}
+
+// The first `count` updates of ids/deltas as an l0_rep batch.
+UpdateBatch BatchOf(const std::vector<uint64_t>& ids,
+                    const std::vector<int64_t>& deltas, size_t count) {
+  UpdateBatch batch;
+  for (size_t i = 0; i < count; ++i) batch.Push(ids[i], deltas[i]);
+  return batch;
 }
 
 // The contract of CellKernelTable::l0_rep, one update and one level at a
@@ -192,7 +208,9 @@ bool SameCells(const std::vector<OneSparseCell>& a,
              0;
 }
 
-const uint32_t kL0Levels[] = {0, 1, 2, 19, 63};
+// Level caps on both sides of the AVX-512 kernel's boundary between the
+// four register levels (0-3) and the scalar scatter (4 and up).
+const uint32_t kL0Levels[] = {0, 1, 2, 3, 4, 5, 19, 63};
 
 TEST(CellKernels, L0RepEveryBackendMatchesScalarAndPerUpdateReference) {
   const CellKernelTable scalar = SupportedCellKernels().back();
@@ -202,7 +220,7 @@ TEST(CellKernels, L0RepEveryBackendMatchesScalarAndPerUpdateReference) {
   for (const CellKernelTable& backend : BackendsUnderTest()) {
     for (uint32_t levels : kL0Levels) {
       for (size_t count : kLengths) {
-        if (count > CellKernelTable::kL0RepMaxIds) continue;
+        if (count > UpdateBatch::kMaxIds) continue;
         SCOPED_TRACE(std::string("backend=") + backend.name +
                      " levels=" + std::to_string(levels) +
                      " count=" + std::to_string(count));
@@ -210,10 +228,10 @@ TEST(CellKernels, L0RepEveryBackendMatchesScalarAndPerUpdateReference) {
         std::vector<OneSparseCell> got = PriorCells(levels);
         std::vector<OneSparseCell> want = got;
         std::vector<OneSparseCell> from_scalar = got;
-        backend.l0_rep(level_base, finger_base, levels, u.ids.data(),
-                       u.deltas.data(), count, got.data());
-        scalar.l0_rep(level_base, finger_base, levels, u.ids.data(),
-                      u.deltas.data(), count, from_scalar.data());
+        backend.l0_rep(level_base, finger_base, levels,
+                       BatchOf(u.ids, u.deltas, count), got.data());
+        scalar.l0_rep(level_base, finger_base, levels,
+                      BatchOf(u.ids, u.deltas, count), from_scalar.data());
         ReferenceL0Rep(level_base, finger_base, levels, u.ids.data(),
                        u.deltas.data(), count, want.data());
         EXPECT_TRUE(SameCells(got, want));
@@ -222,6 +240,68 @@ TEST(CellKernels, L0RepEveryBackendMatchesScalarAndPerUpdateReference) {
       }
     }
   }
+}
+
+// All-unit batches, with and without zero deltas, through every backend:
+// flagged unit (the AVX-512 multiply-free term) and, the same updates,
+// unflagged (the general term). Both equal the per-update reference.
+TEST(CellKernels, L0RepUnitBatchesMatchPerUpdateReference) {
+  const uint64_t level_base = Mix64(DeriveSeed(47, 5), 0x5e7eu);
+  const uint64_t finger_base = Mix64(DeriveSeed(47, 5), 0xf17eu);
+  for (const CellKernelTable& backend : BackendsUnderTest()) {
+    for (uint32_t levels : kL0Levels) {
+      for (size_t count : kLengths) {
+        if (count > UpdateBatch::kMaxIds) continue;
+        for (const bool with_zeros : {false, true}) {
+          SCOPED_TRACE(std::string("backend=") + backend.name +
+                       " levels=" + std::to_string(levels) +
+                       " count=" + std::to_string(count) +
+                       " zeros=" + std::to_string(with_zeros));
+          const uint64_t seed = levels * 1000 + count;
+          const L0Updates u =
+              with_zeros
+                  ? TestL0Updates(count, ~uint64_t{0}, seed, kUnitOrZeroDeltas)
+                  : TestL0Updates(count, ~uint64_t{0}, seed, kUnitDeltas);
+          UpdateBatch batch = BatchOf(u.ids, u.deltas, count);
+          ASSERT_TRUE(batch.unit);
+          std::vector<OneSparseCell> want = PriorCells(levels);
+          ReferenceL0Rep(level_base, finger_base, levels, u.ids.data(),
+                         u.deltas.data(), count, want.data());
+          std::vector<OneSparseCell> got = PriorCells(levels);
+          backend.l0_rep(level_base, finger_base, levels, batch, got.data());
+          EXPECT_TRUE(SameCells(got, want));
+          batch.unit = false;
+          got = PriorCells(levels);
+          backend.l0_rep(level_base, finger_base, levels, batch, got.data());
+          EXPECT_TRUE(SameCells(got, want));
+          EXPECT_TRUE(IsCanary(got.back()));
+        }
+      }
+    }
+  }
+}
+
+// UpdateBatch::Push derives the per-batch fields the kernels read: the
+// index weight wraps mod 2^64 and the unit flag clears on any |delta| > 1.
+TEST(CellKernels, UpdateBatchDerivesWeightsAndUnitFlag) {
+  UpdateBatch batch;
+  batch.Clear();
+  EXPECT_TRUE(batch.unit);
+  batch.Push(7, -1);
+  batch.Push(9, 0);
+  batch.Push(~uint64_t{0}, 1);
+  EXPECT_TRUE(batch.unit);
+  EXPECT_EQ(batch.count, 3u);
+  EXPECT_EQ(batch.weights[0], uint64_t{0} - 7);
+  EXPECT_EQ(batch.weights[1], 0u);
+  EXPECT_EQ(batch.weights[2], ~uint64_t{0});
+  batch.Push(3, 2);
+  EXPECT_FALSE(batch.unit);
+  EXPECT_EQ(batch.weights[3], 6u);
+  batch.Clear();
+  batch.Push(3, std::numeric_limits<int64_t>::min());
+  EXPECT_FALSE(batch.unit);
+  EXPECT_EQ(batch.count, 1u);
 }
 
 // x with SplitMix64(x) == y: each step of the round undone in reverse.
@@ -263,7 +343,7 @@ TEST(CellKernels, L0RepTermEdgeCases) {
         std::vector<OneSparseCell> got(levels + 1);
         got.push_back(CanaryCell());
         std::vector<OneSparseCell> want = got;
-        backend.l0_rep(1, base, levels, ids.data(), deltas.data(), ids.size(),
+        backend.l0_rep(1, base, levels, BatchOf(ids, deltas, ids.size()),
                        got.data());
         ReferenceL0Rep(1, base, levels, ids.data(), deltas.data(),
                        ids.size(), want.data());
@@ -274,7 +354,7 @@ TEST(CellKernels, L0RepTermEdgeCases) {
   }
 }
 
-// The dispatched L0CellsUpdateBatch, across its 256-id chunk boundary,
+// The dispatched L0CellsUpdateBatch, across its 512-id chunk boundary,
 // == the historical per-update sampler of the parity tier, byte for byte
 // on the wire, and it writes no cell past the sampler's slice.
 TEST(CellKernels, L0CellsUpdateBatchMatchesPerUpdateSampler) {
@@ -283,7 +363,7 @@ TEST(CellKernels, L0CellsUpdateBatchMatchesPerUpdateSampler) {
                                (uint64_t{1} << 63) + 1};
   for (uint64_t domain : kDomains) {
     std::vector<size_t> lengths(std::begin(kLengths), std::end(kLengths));
-    lengths.insert(lengths.end(), {511, 512, 513});
+    lengths.insert(lengths.end(), {1023, 1024, 1025});
     for (size_t count : lengths) {
       SCOPED_TRACE("domain=" + std::to_string(domain) +
                    " count=" + std::to_string(count));

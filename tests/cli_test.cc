@@ -459,6 +459,37 @@ TEST_F(Cli, ShardMergeMatchesTheGoldenCheckpoint) {
              "error: cannot open d.gskc\n");
 }
 
+// Checkpoints of one family over the same n, measured with different
+// seeds (or shapes), do not add: merge exits 1 naming the field and
+// writes nothing. With one seed the same shards merge to the truth.
+TEST_F(Cli, MergeRefusesSketchesMeasuredDifferently) {
+  Write("a.txt", "0 1 1\n2 3 1\n");
+  Write("b.txt", "1 2 1\n");
+  Write("all.txt", "0 1 1\n2 3 1\n1 2 1\n");
+  EXPECT_RUN(Sh("gsketch checkpoint connectivity --at 2 4 a.txt a.gskc 1"), 0,
+             "", "checkpointed connectivity after 2/2 updates to a.gskc\n");
+  EXPECT_RUN(Sh("gsketch checkpoint connectivity --at 1 4 b.txt b.gskc 2"), 0,
+             "", "checkpointed connectivity after 1/1 updates to b.gskc\n");
+  EXPECT_RUN(Sh("gsketch merge m.gskc a.gskc b.gskc"), 1, "",
+             "error: b.gskc: connectivity: incompatible sketches: seed "
+             "differs\n");
+  EXPECT_RUN(Sh("gsketch inspect m.gskc"), 1, "",
+             "error: cannot open m.gskc\n");
+  EXPECT_RUN(Sh("gsketch checkpoint kedge --at 1 4 b.txt k.gskc 1 --k 2"), 0,
+             "", "checkpointed kedge after 1/1 updates to k.gskc\n");
+  EXPECT_RUN(Sh("gsketch checkpoint kedge --at 1 4 b.txt k3.gskc 1 --k 3"), 0,
+             "", "checkpointed kedge after 1/1 updates to k3.gskc\n");
+  EXPECT_RUN(Sh("gsketch merge m.gskc k.gskc k3.gskc"), 1, "",
+             "error: k3.gskc: kedge: incompatible sketches: k differs\n");
+  EXPECT_RUN(Sh("gsketch checkpoint connectivity --at 1 4 b.txt b.gskc 1"), 0,
+             "", "checkpointed connectivity after 1/1 updates to b.gskc\n");
+  EXPECT_RUN(Sh("gsketch merge m.gskc a.gskc b.gskc"), 0, "",
+             "merged 2 sketches (connectivity, 3 updates) into m.gskc\n");
+  EXPECT_RUN(Sh("gsketch resume all.txt m.gskc"), 0,
+             "components: 1\nconnected:  yes\n",
+             "resuming connectivity at update 3/3\n");
+}
+
 TEST_F(Cli, SpannerAndStats) {
   const char spanner[] =
       "# spanner: 4 edges, 3 passes, stretch 1.00 (bound 5)\n0 2\n0 1\n3 4\n"

@@ -166,7 +166,7 @@ TEST(OneSparse, IndexWeightPastInt64WrapsAlikeInCellsAndKernels) {
   const std::vector<uint64_t> ids = {index, index, 5, index};
   const std::vector<int64_t> deltas = {delta, delta, -delta, -1};
   const uint64_t finger_base = Mix64(kSeed, 0xf17eu);
-  for (const uint32_t levels : {0u, 1u, 2u, 63u}) {
+  for (const uint32_t levels : {0u, 1u, 2u, 3u, 4u, 63u}) {
     // Level bases 0..7 put these updates at levels 0, 1, 2 and 13
     // (before the cap).
     for (uint64_t level_base = 0; level_base < 8; ++level_base) {
@@ -185,8 +185,9 @@ TEST(OneSparse, IndexWeightPastInt64WrapsAlikeInCellsAndKernels) {
                      std::to_string(levels) +
                      " level_base=" + std::to_string(level_base));
         std::vector<OneSparseCell> got(levels + 1);
-        backend.l0_rep(level_base, finger_base, levels, ids.data(),
-                       deltas.data(), ids.size(), got.data());
+        UpdateBatch batch;
+        for (size_t i = 0; i < ids.size(); ++i) batch.Push(ids[i], deltas[i]);
+        backend.l0_rep(level_base, finger_base, levels, batch, got.data());
         EXPECT_EQ(std::memcmp(got.data(), want.data(),
                               want.size() * sizeof(OneSparseCell)),
                   0);

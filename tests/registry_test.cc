@@ -173,6 +173,34 @@ TEST(Registry, MergeRejectsMismatchedAlgorithmsAndShapes) {
   EXPECT_EQ(Bytes(*conn), before);
 }
 
+// Equal n and equal cell totals are not one measurement: merge compares
+// every part's parameters, in every build, before any cell changes. The
+// mincut pair below has 28,800 cells on both sides but k = 4 with 5
+// levels against k = 5 with 4 levels; a connectivity pair differs only
+// in its seed.
+TEST(Registry, MergeRefusesSketchesMeasuredDifferently) {
+  AlgOptions five_levels;
+  five_levels.epsilon = 1.25;
+  five_levels.max_level = 4;
+  AlgOptions four_levels;
+  four_levels.epsilon = 1.1;
+  four_levels.max_level = 3;
+  auto a = FindAlg("mincut")->make(8, five_levels, kSeed);
+  auto b = FindAlg("mincut")->make(8, four_levels, kSeed);
+  ASSERT_EQ(a->CellCount(), 28800u);
+  ASSERT_EQ(b->CellCount(), 28800u);
+  const std::string before = Bytes(*a);
+  std::string error;
+  EXPECT_FALSE(a->Merge(*b, &error));
+  EXPECT_EQ(error, "mincut: incompatible sketches: k differs");
+  EXPECT_EQ(Bytes(*a), before);
+
+  auto one = FindAlg("connectivity")->make(kN, AlgOptions{}, 1);
+  auto two = FindAlg("connectivity")->make(kN, AlgOptions{}, 2);
+  EXPECT_FALSE(one->Merge(*two, &error));
+  EXPECT_EQ(error, "connectivity: incompatible sketches: seed differs");
+}
+
 TEST(Registry, KnobsReachTheFactories) {
   AlgOptions opt;
   opt.k = 5;

@@ -8,8 +8,13 @@
 // missing. Baselines that carry snapshot-latency keys (starting with
 // "snapshot_publish_ms", E15) are additionally gated lower-is-better:
 // fresh > baseline * (1 + P%) + 5 ms fails — the absolute slack keeps
-// sub-millisecond publish times from failing on timer noise. Exit codes:
-// 0 pass, 1 regression/mismatch, 2 usage/parse error.
+// sub-millisecond publish times from failing on timer noise. Per-layer
+// cost keys (ending in "_ns_per_id" or "_ns_per_half", E16) gate
+// lower-is-better at P percent, but only when the fresh run's
+// "kernel_lanes" equals the baseline's: nanoseconds from another kernel
+// backend print one SKIP line instead. Exit codes: 0 pass, 1
+// regression/mismatch, 2 usage/parse error (or a baseline with no gated
+// key).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,7 +33,9 @@ int Usage(const char* argv0) {
                "  if any key regressed more than P%% (default 15) or is\n"
                "  missing from the fresh run. Baseline latency keys\n"
                "  (snapshot_publish_ms*) gate the other way: fresh above\n"
-               "  baseline * (1 + P%%) + 5 ms fails.\n",
+               "  baseline * (1 + P%%) + 5 ms fails. Per-layer costs\n"
+               "  (*_ns_per_id, *_ns_per_half) fail above baseline *\n"
+               "  (1 + P%%) when both runs report the same kernel_lanes.\n",
                argv0);
   return 2;
 }
@@ -74,24 +81,32 @@ int main(int argc, char** argv) {
 
   std::printf("bench %s: \"%s\"\n", baseline->bench.c_str(),
               baseline->title.c_str());
-  auto result = gsketch::CompareBenchReports(*baseline, *fresh,
-                                             max_regress_pct);
-  for (const auto& line : result.lines) std::printf("%s\n", line.c_str());
-  if (result.keys_compared == 0) {
-    std::fprintf(stderr,
-                 "error: baseline has no updates_per_sec* keys to gate\n");
+  if (baseline->bench != fresh->bench) {
+    std::printf("MISMATCH  baseline is \"%s\" but fresh is \"%s\"\n",
+                baseline->bench.c_str(), fresh->bench.c_str());
+    return 1;
+  }
+  // Throughput (E13-E15); latency keys (E15's snapshot publish
+  // percentiles) lower-is-better with 5 ms of absolute slack; per-layer
+  // costs (E16). A bench prints only the gates its baseline has keys for.
+  const gsketch::BenchGateResult gates[] = {
+      gsketch::CompareBenchReports(*baseline, *fresh, max_regress_pct),
+      gsketch::CompareBenchReports(*baseline, *fresh, max_regress_pct,
+                                   "snapshot_publish_ms",
+                                   /*lower_is_better=*/true,
+                                   /*abs_slack=*/5.0),
+      gsketch::CompareLayerCosts(*baseline, *fresh, max_regress_pct)};
+  bool ok = true;
+  size_t selected = 0;
+  for (const auto& gate : gates) {
+    if (gate.keys_compared + gate.keys_skipped == 0 && gate.ok) continue;
+    for (const auto& line : gate.lines) std::printf("%s\n", line.c_str());
+    ok = ok && gate.ok;
+    selected += gate.keys_compared + gate.keys_skipped;
+  }
+  if (selected == 0) {
+    std::fprintf(stderr, "error: baseline has no gated keys\n");
     return 2;
   }
-  // Latency keys (E15's snapshot publish percentiles) gate
-  // lower-is-better with 5 ms of absolute slack; benches without them
-  // skip this pass entirely.
-  auto latency = gsketch::CompareBenchReports(
-      *baseline, *fresh, max_regress_pct, "snapshot_publish_ms",
-      /*lower_is_better=*/true, /*abs_slack=*/5.0);
-  if (latency.keys_compared > 0) {
-    for (const auto& line : latency.lines) {
-      std::printf("%s\n", line.c_str());
-    }
-  }
-  return result.ok && latency.ok ? 0 : 1;
+  return ok ? 0 : 1;
 }
