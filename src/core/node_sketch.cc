@@ -8,8 +8,6 @@ NodeL0Bank::NodeL0Bank(NodeId n, uint32_t repetitions, uint64_t seed)
     : n_(n),
       // Same seed for every node: one shared linear measurement matrix.
       params_(L0Params::Make(EdgeDomain(n), repetitions, seed)),
-      bases_(std::make_shared<const std::vector<L0RepBases>>(
-          L0BasesOf(params_))),
       stride_(params_.CellsPerSampler()),
       arena_(static_cast<size_t>(n), params_.CellsPerSampler()) {}
 
@@ -72,8 +70,6 @@ std::optional<NodeL0Bank> NodeL0Bank::Deserialize(ByteReader* r) {
     if (!L0ParseHeader(r, &p)) return std::nullopt;
     if (u == 0) {
       bank.params_ = p;
-      bank.bases_ =
-          std::make_shared<const std::vector<L0RepBases>>(L0BasesOf(p));
       bank.stride_ = p.CellsPerSampler();
       // Every node's cells must follow: bound n by what remains before
       // the arena is sized for it (stride >= 1, so the divisor is

@@ -17,10 +17,9 @@
 // Batches: every bank apply starts from one per-batch prologue
 // (ForEachEdgeChunk: edge ids, incidence-signed deltas, their products
 // and an all-unit flag in a stack UpdateBatch), built once and shared by
-// every bank of a composite sketch, and each ℓ₀ bank caches its
-// repetitions' Mix64 bases (at construction and in Deserialize), so a
-// default 4 KiB gutter batch costs one `l0_rep` kernel call per
-// repetition and nothing else per bank.
+// every bank of a composite sketch, so a default 4 KiB gutter batch
+// costs one `l0_rep` kernel call per repetition and nothing else per
+// bank.
 // Per-node access hands out lightweight views (L0SamplerView /
 // SparseRecoveryView) over arena slices; the cells and the serialized
 // bytes are bit-identical to the historical flat-arena and per-node
@@ -33,7 +32,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/core/span.h"
@@ -131,10 +129,9 @@ class NodeL0Bank {
   /// ApplyBatch of a prologue already built (ForEachEdgeChunk), so
   /// composite sketches build it once for every bank sharing the
   /// endpoint: the endpoint's arena slice is resolved once and each
-  /// repetition is one kernel call over the cached bases (L0CellsApply).
+  /// repetition is one kernel call (L0CellsApply).
   void ApplyBatch(NodeId endpoint, const UpdateBatch& batch) {
-    L0CellsApply(params_, bases_->data(), arena_.MutableSlice(endpoint),
-                 batch);
+    L0CellsApply(params_, arena_.MutableSlice(endpoint), batch);
   }
 
   /// View of a single node's sampler. On a quiescent bank (snapshots,
@@ -183,10 +180,6 @@ class NodeL0Bank {
 
   NodeId n_ = 0;
   L0Params params_;
-  // L0BasesOf(params_), shared by every copy of the bank, so a
-  // snapshot's clone allocates nothing for it: per-bank copies raised
-  // traced ingest-uniform's capture p50 from 0.028 to 0.033 ms.
-  std::shared_ptr<const std::vector<L0RepBases>> bases_;
   size_t stride_ = 0;  // cells per node = params_.CellsPerSampler()
   CowCellArena arena_;  // n_ slices of stride_ cells, COW-paged
 };

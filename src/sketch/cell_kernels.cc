@@ -291,19 +291,6 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512i Terms(
   }
 }
 
-// The 8 lanes of x, summed (wrapping). The maskz extracts sidestep the
-// gcc 12 false positive that _mm512_reduce_add_epi64 and
-// _mm512_castsi512_si256 trip.
-__attribute__((target("avx512f"))) inline uint64_t LaneSum(__m512i x) {
-  const __m256i half =
-      _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(__mmask8{0xff}, x, 0),
-                       _mm512_maskz_extracti64x4_epi64(__mmask8{0xff}, x, 1));
-  const __m128i quarter = _mm_add_epi64(_mm256_castsi256_si128(half),
-                                        _mm256_extracti128_si256(half, 1));
-  return static_cast<uint64_t>(_mm_cvtsi128_si64(quarter)) +
-         static_cast<uint64_t>(_mm_extract_epi64(quarter, 1));
-}
-
 // Lane sums of one level: count, index weight, and the fingerprint terms
 // split at bit 32, so adding a term is two plain adds and the level
 // reduces mod M once per call. A lane adds at most kMaxIds / 8 = 64
@@ -314,6 +301,33 @@ struct LevelSums512 {
   __m512i lo;
   __m512i hi;
 };
+
+// Lane j of the result is the (wrapping) sum of v[j]'s 8 lanes: three
+// rounds of pairwise shuffles and adds, 21 instructions for all eight
+// sums, where reducing each vector on its own takes about as many for
+// three. The all-lanes maskz forms compile to the plain shuffles (see
+// Srli64).
+__attribute__((target("avx512f"))) inline __m512i LaneSums8(
+    const __m512i v[8]) {
+  const __mmask8 all = 0xff;
+  // 128-bit block b of pairs[k]: v[2k]'s and v[2k+1]'s lanes 2b + 2b+1.
+  __m512i pairs[4];
+  for (int k = 0; k < 4; ++k) {
+    pairs[k] = _mm512_add_epi64(
+        _mm512_maskz_unpacklo_epi64(all, v[2 * k], v[2 * k + 1]),
+        _mm512_maskz_unpackhi_epi64(all, v[2 * k], v[2 * k + 1]));
+  }
+  // Block 2h + b of quads[k]: v[4k+2h]'s and v[4k+2h+1]'s lanes 4b..4b+3.
+  __m512i quads[2];
+  for (int k = 0; k < 2; ++k) {
+    quads[k] = _mm512_add_epi64(
+        _mm512_maskz_shuffle_i64x2(all, pairs[2 * k], pairs[2 * k + 1], 0x88),
+        _mm512_maskz_shuffle_i64x2(all, pairs[2 * k], pairs[2 * k + 1], 0xdd));
+  }
+  return _mm512_add_epi64(
+      _mm512_maskz_shuffle_i64x2(all, quads[0], quads[1], 0x88),
+      _mm512_maskz_shuffle_i64x2(all, quads[0], quads[1], 0xdd));
+}
 
 // The lanes among `lanes` whose level word has its low l bits clear: the
 // updates that reach level l.
@@ -333,47 +347,28 @@ __attribute__((target("avx512f"))) inline void AddToLevel(
   s->hi = _mm512_mask_add_epi64(s->hi, at, s->hi, hi);
 }
 
-// Adds a level's lane sums to `cell`. Count and weight wrap exactly as
-// the scalar sums. The halves sum to lo < 2^41 and hi < 2^38, and
-// hi·2^32 ≡ ((hi mod 2^29) << 32) + (hi >> 29) (mod M), so the print is
-// one fold of a value below 2^62.
-__attribute__((target("avx512f"))) inline void AddLaneSums(
-    const LevelSums512& s, OneSparseCell* cell) {
-  const uint64_t lo = LaneSum(s.lo);
-  const uint64_t hi = LaneSum(s.hi);
-  const uint64_t folded =
-      ((hi & ((uint64_t{1} << 29) - 1)) << 32) + (hi >> 29) + lo;
-  cell->AddSums(static_cast<int64_t>(LaneSum(s.count)),
-                static_cast<int64_t>(LaneSum(s.weight)),
-                FoldMersenne61(folded));
-}
-
-// `l0_rep` of at most 8 updates: one vector step of hashes and terms,
-// then each update added straight to its levels 0..z. The dispatcher
-// sends it batches below 4 updates, where it beats the sixteen lane
-// reductions of the full pass (a 1-id call costs about half as much):
-// gutters flush such batches at stream ends and snapshot barriers.
-template <bool kUnit>
-__attribute__((target("avx512f,avx512dq"))) void L0RepAvx512Few(
-    uint64_t level_base, uint64_t finger_base, uint32_t levels,
-    const UpdateBatch& batch, OneSparseCell* rep_cells) {
-  const __mmask8 lanes = LaneMask(0, batch.count);
-  const __m512i id = _mm512_maskz_loadu_epi64(lanes, batch.ids);
-  const __m512i d = _mm512_maskz_loadu_epi64(lanes, batch.deltas);
-  const __m512i word = SplitMix64Vec512(_mm512_add_epi64(
-      _mm512_set1_epi64(static_cast<int64_t>(level_base)), id));
-  const __m512i f = FoldMersenne61Vec512(SplitMix64Vec512(_mm512_add_epi64(
-      _mm512_set1_epi64(static_cast<int64_t>(finger_base)), id)));
-  alignas(64) uint64_t words[8];
-  alignas(64) uint64_t terms[8];
-  _mm512_store_si512(words, word);
-  _mm512_store_si512(terms, Terms<kUnit>(d, f, batch.deltas));
-  for (size_t j = 0; j < batch.count; ++j) {
-    const uint32_t z = GeometricLevel(words[j], levels);
-    for (uint32_t l = 0; l <= z; ++l) {
-      rep_cells[l].AddSums(batch.deltas[j],
-                           static_cast<int64_t>(batch.weights[j]), terms[j]);
-    }
+// Adds levels 0..min(3, levels)'s lane sums to their cells. Count and
+// weight wrap exactly as the scalar sums. The halves sum to lo < 2^41 and
+// hi < 2^38, and hi·2^32 ≡ ((hi mod 2^29) << 32) + (hi >> 29) (mod M),
+// so each print is one fold of a value below 2^62.
+__attribute__((target("avx512f"))) inline void AddLevelSums(
+    const LevelSums512 (&s)[4], uint32_t levels, OneSparseCell* rep_cells) {
+  const __m512i count_weight[8] = {s[0].count, s[0].weight, s[1].count,
+                                   s[1].weight, s[2].count, s[2].weight,
+                                   s[3].count, s[3].weight};
+  const __m512i prints[8] = {s[0].lo, s[0].hi, s[1].lo, s[1].hi,
+                             s[2].lo, s[2].hi, s[3].lo, s[3].hi};
+  alignas(64) uint64_t cw[8];
+  alignas(64) uint64_t pr[8];
+  _mm512_store_si512(cw, LaneSums8(count_weight));
+  _mm512_store_si512(pr, LaneSums8(prints));
+  for (uint32_t l = 0; l < 4 && l <= levels; ++l) {
+    const uint64_t lo = pr[2 * l];
+    const uint64_t hi = pr[2 * l + 1];
+    rep_cells[l].AddSums(
+        static_cast<int64_t>(cw[2 * l]), static_cast<int64_t>(cw[2 * l + 1]),
+        FoldMersenne61(((hi & ((uint64_t{1} << 29) - 1)) << 32) + (hi >> 29) +
+                       lo));
   }
 }
 
@@ -399,10 +394,8 @@ __attribute__((target("avx512f,avx512dq"))) void L0RepAvx512Batch(
       _mm512_set1_epi64(static_cast<int64_t>(uint64_t{1} << levels));
   const __m512i low32 = _mm512_set1_epi64(0xffffffffLL);
   const __m512i zero = _mm512_setzero_si512();
-  LevelSums512 level0{zero, zero, zero, zero};
-  LevelSums512 level1 = level0;
-  LevelSums512 level2 = level0;
-  LevelSums512 level3 = level0;
+  LevelSums512 sums[4];  // levels 0-3
+  for (LevelSums512& s : sums) s = {zero, zero, zero, zero};
   alignas(64) uint64_t words[kMaxIds];
   alignas(64) uint64_t terms[kMaxIds];
   uint64_t deep[kMaxIds / 64] = {};  // bit i: update i reaches level 4
@@ -420,22 +413,16 @@ __attribute__((target("avx512f,avx512dq"))) void L0RepAvx512Batch(
     const __m512i t = Terms<kUnit>(d, f, batch.deltas + i);
     const __m512i lo = _mm512_and_si512(t, low32);
     const __m512i hi = Srli64(t, 32);
-    AddToLevel(&level0, lanes, d, w, lo, hi);
-    AddToLevel(&level1, AtLevel(lanes, word, 1), d, w, lo, hi);
-    AddToLevel(&level2, AtLevel(lanes, word, 2), d, w, lo, hi);
-    AddToLevel(&level3, AtLevel(lanes, word, 3), d, w, lo, hi);
+    AddToLevel(&sums[0], lanes, d, w, lo, hi);
+    AddToLevel(&sums[1], AtLevel(lanes, word, 1), d, w, lo, hi);
+    AddToLevel(&sums[2], AtLevel(lanes, word, 2), d, w, lo, hi);
+    AddToLevel(&sums[3], AtLevel(lanes, word, 3), d, w, lo, hi);
     _mm512_store_si512(words + i, word);
     _mm512_store_si512(terms + i, t);
     deep[i / 64] |= uint64_t{AtLevel(lanes, word, 4)} << (i % 64);
   }
-  AddLaneSums(level0, &rep_cells[0]);
-  if (levels == 0) return;
-  AddLaneSums(level1, &rep_cells[1]);
-  if (levels == 1) return;
-  AddLaneSums(level2, &rep_cells[2]);
-  if (levels == 2) return;
-  AddLaneSums(level3, &rep_cells[3]);
-  if (levels == 3) return;
+  AddLevelSums(sums, levels, rep_cells);
+  if (levels <= 3) return;
   // Suffix-sum scatter of the marked updates over levels 4..top, in plain
   // arrays. The sums wrap mod 2^64, like the lanes and the cells.
   uint64_t acc_count[kMaxAccLevels];
@@ -468,18 +455,13 @@ __attribute__((target("avx512f,avx512dq"))) void L0RepAvx512Batch(
   }
 }
 
-// The dispatched AVX-512 `l0_rep`: the all-unit or general term, the
-// full pass or, below 4 updates, the few-update one.
+// The dispatched AVX-512 `l0_rep`: the pass with the all-unit or the
+// general term.
 __attribute__((target("avx512f,avx512dq"))) void L0RepAvx512(
     uint64_t level_base, uint64_t finger_base, uint32_t levels,
     const UpdateBatch& batch, OneSparseCell* rep_cells) {
-  if (batch.count < 4) {
-    (batch.unit ? &L0RepAvx512Few<true> : &L0RepAvx512Few<false>)(
-        level_base, finger_base, levels, batch, rep_cells);
-  } else {
-    (batch.unit ? &L0RepAvx512Batch<true> : &L0RepAvx512Batch<false>)(
-        level_base, finger_base, levels, batch, rep_cells);
-  }
+  (batch.unit ? &L0RepAvx512Batch<true> : &L0RepAvx512Batch<false>)(
+      level_base, finger_base, levels, batch, rep_cells);
 }
 
 }  // namespace

@@ -61,36 +61,31 @@ void L0CellsUpdateTwo(const L0Params& p, OneSparseCell* cells_a,
   }
 }
 
-std::vector<L0RepBases> L0BasesOf(const L0Params& p) {
-  std::vector<L0RepBases> bases(p.repetitions);
-  for (uint32_t r = 0; r < p.repetitions; ++r) {
-    const uint64_t rep_seed = DeriveSeed(p.seed, r);
-    bases[r] = {Mix64(rep_seed, 0x5e7eu), Mix64(rep_seed, 0xf17eu)};
-  }
-  return bases;
-}
-
-void L0CellsApply(const L0Params& p, const L0RepBases* bases,
-                  OneSparseCell* cells, const UpdateBatch& batch) {
+void L0CellsApply(const L0Params& p, OneSparseCell* cells,
+                  const UpdateBatch& batch) {
   for (size_t i = 0; i < batch.count; ++i) assert(batch.ids[i] < p.domain);
+  // Each repetition is one kernel call over hoisted Mix64 bases —
+  // Mix64(s, tag, id) == SplitMix64(Mix64(s, tag) + id) — so a
+  // repetition's seed is derived once per batch, and the batch stays in
+  // L1 across the repetitions.
   const CellKernelTable::L0RepFn l0_rep = Kernels().l0_rep;
   const uint32_t per_rep = p.levels + 1;
   for (uint32_t r = 0; r < p.repetitions; ++r) {
-    l0_rep(bases[r].level, bases[r].finger, p.levels, batch,
-           cells + static_cast<size_t>(r) * per_rep);
+    const uint64_t rep_seed = DeriveSeed(p.seed, r);
+    l0_rep(Mix64(rep_seed, 0x5e7eu), Mix64(rep_seed, 0xf17eu), p.levels,
+           batch, cells + static_cast<size_t>(r) * per_rep);
   }
 }
 
 void L0CellsUpdateBatch(const L0Params& p, OneSparseCell* cells,
                         const uint64_t* ids, const int64_t* deltas,
                         size_t count) {
-  const std::vector<L0RepBases> bases = L0BasesOf(p);
   UpdateBatch batch;
   for (size_t start = 0; start < count; start += UpdateBatch::kMaxIds) {
     const size_t end = std::min(count, start + UpdateBatch::kMaxIds);
     batch.Clear();
     for (size_t i = start; i < end; ++i) batch.Push(ids[i], deltas[i]);
-    L0CellsApply(p, bases.data(), cells, batch);
+    L0CellsApply(p, cells, batch);
   }
 }
 

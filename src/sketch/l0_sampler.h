@@ -17,9 +17,7 @@
 //                        samplers live in one contiguous allocation.
 // Both perform identical linear measurements for equal L0Params, so cells
 // are bit-identical regardless of where they live. The batch path
-// (L0CellsApply) takes a prepared UpdateBatch (src/sketch/cell_kernels.h)
-// and the repetitions' Mix64 bases, which banks derive once, not per
-// batch.
+// (L0CellsApply) takes a prepared UpdateBatch (src/sketch/cell_kernels.h).
 #ifndef GRAPHSKETCH_SRC_SKETCH_L0_SAMPLER_H_
 #define GRAPHSKETCH_SRC_SKETCH_L0_SAMPLER_H_
 
@@ -89,30 +87,18 @@ void L0CellsUpdateTwo(const L0Params& p, OneSparseCell* cells_a,
                       OneSparseCell* cells_b, uint64_t index, int64_t delta_a,
                       int64_t delta_b);
 
-/// The Mix64 bases of one repetition's two hashes: with rep_seed =
-/// DeriveSeed(seed, r), Mix64(rep_seed, 0x5e7e, id) == SplitMix64(level +
-/// id) and Mix64(rep_seed, 0xf17e, id) == SplitMix64(finger + id).
-struct L0RepBases {
-  uint64_t level = 0;
-  uint64_t finger = 0;
-};
-
-/// Every repetition's bases under `p`, in repetition order. Banks compute
-/// them once, at construction and when parsed, not once per batch.
-std::vector<L0RepBases> L0BasesOf(const L0Params& p);
-
-/// Applies x[batch.ids[i]] += batch.deltas[i] to ONE sampler's cells, with
-/// `bases` = L0BasesOf(p): one call of the dispatched backend's fused
-/// `l0_rep` kernel (src/sketch/cell_kernels.h) per repetition. On AVX-512
+/// Applies x[batch.ids[i]] += batch.deltas[i] to ONE sampler's cells: one
+/// call of the dispatched backend's fused `l0_rep` kernel
+/// (src/sketch/cell_kernels.h) per repetition. On AVX-512
 /// hosts levels 0-3 are summed in registers and only the ~1/16 of updates
 /// that reach level 4 are scattered. Cell updates are commutative sums, so
 /// the resulting cells are bit-identical to per-update L0CellsUpdate calls
 /// in stream order.
-void L0CellsApply(const L0Params& p, const L0RepBases* bases,
-                  OneSparseCell* cells, const UpdateBatch& batch);
+void L0CellsApply(const L0Params& p, OneSparseCell* cells,
+                  const UpdateBatch& batch);
 
 /// L0CellsApply of `count` updates given as plain arrays, in chunks of
-/// UpdateBatch::kMaxIds, deriving the repetitions' bases once per call.
+/// UpdateBatch::kMaxIds.
 void L0CellsUpdateBatch(const L0Params& p, OneSparseCell* cells,
                         const uint64_t* ids, const int64_t* deltas,
                         size_t count);

@@ -231,7 +231,7 @@ BenchGateResult CompareBenchReports(const BenchReport& baseline,
 }
 
 bool IsLayerCostKey(const std::string& key) {
-  return EndsWith(key, "_ns_per_id") || EndsWith(key, "_ns_per_half");
+  return EndsWith(key, "_refs_per_id") || EndsWith(key, "_refs_per_half");
 }
 
 BenchGateResult CompareLayerCosts(const BenchReport& baseline,
@@ -256,7 +256,7 @@ BenchGateResult CompareLayerCosts(const BenchReport& baseline,
     return result;
   }
   return CompareSelected(baseline, fresh, max_regress_pct, &IsLayerCostKey,
-                         "*_ns_per_id|*_ns_per_half",
+                         "*_refs_per_id|*_refs_per_half",
                          /*lower_is_better=*/true, /*abs_slack=*/0.0);
 }
 

@@ -66,15 +66,16 @@ BenchGateResult CompareBenchReports(const BenchReport& baseline,
                                     bool lower_is_better = false,
                                     double abs_slack = 0.0);
 
-/// True for the per-layer cost keys (E16): names ending in "_ns_per_id"
-/// or "_ns_per_half".
+/// True for the per-layer cost keys (E16): names ending in "_refs_per_id"
+/// or "_refs_per_half", costs in units of a reference timed in the same
+/// run, so the host's speed cancels out of them.
 bool IsLayerCostKey(const std::string& key);
 
 /// Gates every per-layer cost key of `baseline` lower-is-better: a key
 /// missing from `fresh`, or fresh > baseline * (1 + max_regress_pct/100),
-/// fails. Nanosecond costs compare only on one kernel backend, so when
-/// the reports' "kernel_lanes" differ (or either lacks it) no key is
-/// gated: the result passes with one SKIP line and `keys_skipped` set.
+/// fails. Costs compare only on one kernel backend, so when the reports'
+/// "kernel_lanes" differ (or either lacks it) no key is gated: the result
+/// passes with one SKIP line and `keys_skipped` set.
 BenchGateResult CompareLayerCosts(const BenchReport& baseline,
                                   const BenchReport& fresh,
                                   double max_regress_pct);

@@ -232,41 +232,48 @@ TEST(BenchGate, LowerIsBetterStillFailsOnMissingKeys) {
 
 // ------------------------------------------ per-layer costs (E16) --
 
-// An E16-shaped report: nanosecond costs per layer, then the host keys.
+// An E16-shaped report: per-layer costs in reference units, then the
+// nanosecond costs they were divided from, then the host keys.
 const char kLayerJson[] =
     "{\n"
     "  \"bench\": \"E16\",\n"
     "  \"title\": \"per-layer costs of the apply path\",\n"
     "  \"metrics\": {\n"
     "    \"n\": 1024,\n"
-    "    \"hash_ns_per_id\": 1,\n"
-    "    \"scatter_ns_per_half\": 16,\n"
+    "    \"hash_refs_per_id\": 1,\n"
+    "    \"scatter_refs_per_half\": 16,\n"
+    "    \"apply_refs_per_half\": 200,\n"
+    "    \"ref_ns_per_id\": 1,\n"
     "    \"apply_ns_per_half\": 200,\n"
     "    \"nproc\": 4,\n"
     "    \"kernel_lanes\": 8\n"
     "  }\n"
     "}\n";
 
-TEST(BenchGate, LayerCostKeysAreTheNsPerIdAndNsPerHalfSuffixes) {
-  EXPECT_TRUE(IsLayerCostKey("hash_ns_per_id"));
-  EXPECT_TRUE(IsLayerCostKey("apply_ns_per_half"));
-  EXPECT_FALSE(IsLayerCostKey("ns_per_id_total"));
+TEST(BenchGate, LayerCostKeysAreTheRefsPerIdAndRefsPerHalfSuffixes) {
+  EXPECT_TRUE(IsLayerCostKey("hash_refs_per_id"));
+  EXPECT_TRUE(IsLayerCostKey("apply_refs_per_half"));
+  EXPECT_FALSE(IsLayerCostKey("refs_per_id_total"));
+  // Nanoseconds depend on the host's speed: reported, never gated.
+  EXPECT_FALSE(IsLayerCostKey("ref_ns_per_id"));
+  EXPECT_FALSE(IsLayerCostKey("apply_ns_per_half"));
   EXPECT_FALSE(IsLayerCostKey("updates_per_sec_1thread"));
   EXPECT_FALSE(IsLayerCostKey("kernel_lanes"));
 }
 
 TEST(BenchGate, LayerCostsGateLowerIsBetter) {
   BenchReport base = MustParse(kLayerJson);
-  // apply 200 -> 240 ns (+20%): past the +15% ceiling of 230, must FAIL,
-  // naming the key; n, nproc and kernel_lanes are never compared.
+  // apply 200 -> 240 refs (+20%): past the +15% ceiling of 230, must
+  // FAIL, naming the key; n, the ns keys, nproc and kernel_lanes are
+  // never compared.
   BenchGateResult res = CompareLayerCosts(
-      base, WithScaledKey(base, "apply_ns_per_half", 1.2), 15.0);
+      base, WithScaledKey(base, "apply_refs_per_half", 1.2), 15.0);
   EXPECT_FALSE(res.ok);
   EXPECT_EQ(res.keys_compared, 3u);
   bool flagged = false;
   for (const auto& line : res.lines) {
     if (line.find("REGRESSION") != std::string::npos &&
-        line.find("apply_ns_per_half") != std::string::npos) {
+        line.find("apply_refs_per_half") != std::string::npos) {
       flagged = true;
     }
   }
@@ -274,13 +281,18 @@ TEST(BenchGate, LayerCostsGateLowerIsBetter) {
   // +10% on one cost and a 2x drop on another pass: lower is better.
   EXPECT_TRUE(CompareLayerCosts(
                   base,
-                  WithScaledKey(WithScaledKey(base, "hash_ns_per_id", 1.1),
-                                "scatter_ns_per_half", 0.5),
+                  WithScaledKey(WithScaledKey(base, "hash_refs_per_id", 1.1),
+                                "scatter_refs_per_half", 0.5),
                   15.0)
+                  .ok);
+  // A host twice as slow doubles the nanoseconds, not the reference
+  // units: nothing fails.
+  EXPECT_TRUE(CompareLayerCosts(
+                  base, WithScaledKey(base, "apply_ns_per_half", 2.0), 15.0)
                   .ok);
   // A cost missing from the fresh run fails.
   BenchReport fresh = base;
-  fresh.metrics.erase(fresh.metrics.begin() + 2);  // scatter_ns_per_half
+  fresh.metrics.erase(fresh.metrics.begin() + 2);  // scatter_refs_per_half
   EXPECT_FALSE(CompareLayerCosts(base, fresh, 15.0).ok);
 }
 
@@ -289,7 +301,7 @@ TEST(BenchGate, LayerCostsSkipAcrossKernelBackends) {
   // A 4-lane (AVX2) run 3x slower than an 8-lane baseline is not a
   // regression of the change: nothing is gated, one SKIP line says why.
   BenchReport fresh = WithScaledKey(
-      WithScaledKey(base, "apply_ns_per_half", 3.0), "kernel_lanes", 0.5);
+      WithScaledKey(base, "apply_refs_per_half", 3.0), "kernel_lanes", 0.5);
   BenchGateResult res = CompareLayerCosts(base, fresh, 15.0);
   EXPECT_TRUE(res.ok);
   EXPECT_EQ(res.keys_compared, 0u);

@@ -9,10 +9,11 @@
 // "snapshot_publish_ms", E15) are additionally gated lower-is-better:
 // fresh > baseline * (1 + P%) + 5 ms fails — the absolute slack keeps
 // sub-millisecond publish times from failing on timer noise. Per-layer
-// cost keys (ending in "_ns_per_id" or "_ns_per_half", E16) gate
-// lower-is-better at P percent, but only when the fresh run's
-// "kernel_lanes" equals the baseline's: nanoseconds from another kernel
-// backend print one SKIP line instead. Exit codes: 0 pass, 1
+// cost keys (ending in "_refs_per_id" or "_refs_per_half", E16: costs in
+// units of a reference timed in the same run) gate lower-is-better at P
+// percent, but only when the fresh run's "kernel_lanes" equals the
+// baseline's: costs from another kernel backend print one SKIP line
+// instead. Exit codes: 0 pass, 1
 // regression/mismatch, 2 usage/parse error (or a baseline with no gated
 // key).
 #include <cstdio>
@@ -34,7 +35,7 @@ int Usage(const char* argv0) {
                "  missing from the fresh run. Baseline latency keys\n"
                "  (snapshot_publish_ms*) gate the other way: fresh above\n"
                "  baseline * (1 + P%%) + 5 ms fails. Per-layer costs\n"
-               "  (*_ns_per_id, *_ns_per_half) fail above baseline *\n"
+               "  (*_refs_per_id, *_refs_per_half) fail above baseline *\n"
                "  (1 + P%%) when both runs report the same kernel_lanes.\n",
                argv0);
   return 2;
