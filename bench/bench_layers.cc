@@ -11,9 +11,13 @@
 //                        (update, repetition);
 //   scatter_ns_per_half  L0CellsUpdateBatch of every batch into one node's
 //                        sampler slice, with one forest round's parameters
-//                        (6 repetitions), per raw half-update;
-//   apply_ns_per_half    ConnectivitySketch::ApplyBatch of every batch (12
-//                        rounds x 6 repetitions), per raw half-update.
+//                        (kConnectivityRepetitions repetitions), per raw
+//                        half-update;
+//   apply_ns_per_half    ApplyBatch of every batch into the registered
+//                        `connectivity` sketch at AlgOptions{} (12 rounds x
+//                        kConnectivityRepetitions), per raw half-update.
+// Both probes measure the repetition count connectivity ships, so a
+// regression in what ships cannot hide behind an older count.
 // The apply sketch takes one untimed pass first, so no pass pays its
 // arena's first-touch page faults, and each hash pass follows an untimed
 // one, so it reads the ids from cache as the kernels do inside a batch.
@@ -34,7 +38,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/connectivity_suite.h"
+#include "src/core/sketch_registry.h"
 #include "src/driver/gutter.h"
 #include "src/hash/splitmix.h"
 #include "src/workload/stream_generator.h"
@@ -125,8 +129,8 @@ int Run() {
                   fingers.data());
     }
   };
-  const L0Params params = L0Params::Make(
-      EdgeDomain(kNodes), ForestOptions().repetitions, seed);
+  const L0Params params =
+      L0Params::Make(EdgeDomain(kNodes), kConnectivityRepetitions, seed);
   std::vector<OneSparseCell> slice(params.CellsPerSampler());
   const auto scatter = [&] {
     for (size_t b = 0; b + 1 < offsets.size(); ++b) {
@@ -135,10 +139,11 @@ int Run() {
                          offsets[b + 1] - offsets[b]);
     }
   };
-  ConnectivitySketch sketch(kNodes, ForestOptions{}, seed);
+  const auto sketch =
+      FindAlg("connectivity")->make(kNodes, AlgOptions{}, seed);
   const auto apply = [&] {
     for (const NodeBatch& b : batches) {
-      sketch.ApplyBatch(b.endpoint, Others(b), Deltas(b));
+      sketch->ApplyBatch(b.endpoint, Others(b), Deltas(b));
     }
   };
   apply();  // first touch of the sketch's arena

@@ -63,6 +63,10 @@ class ConnectivitySketch {
   /// A spanning forest witness.
   Graph Forest() const { return forest_.ExtractForest(); }
 
+  /// The forest decode with the components it could not resolve: one
+  /// decode serves every part of an answer.
+  ForestDecode Decode() const { return forest_.Decode(); }
+
   size_t CellCount() const { return forest_.CellCount(); }
 
   /// Serializes the full sketch state (checkpoint payload format).
@@ -236,10 +240,16 @@ class KConnectivityTester {
 
   /// True iff the streamed graph is k-edge-connected: the witness
   /// preserves all cuts below k, so its min cut is exact in that range.
-  bool IsKConnected() const;
+  bool IsKConnected() const { return Certifies(WitnessMinCut()); }
 
   /// Exact min cut value when it is below k, otherwise a value >= k.
   double WitnessMinCut() const;
+
+  /// True iff a witness min cut of `witness_cut` (WitnessMinCut(), decoded
+  /// once by the caller) certifies k-edge-connectivity.
+  bool Certifies(double witness_cut) const {
+    return witness_cut >= static_cast<double>(k_);
+  }
 
   size_t CellCount() const { return witness_.CellCount(); }
 

@@ -43,6 +43,16 @@ L0Sampler NodeL0Bank::SumOver(const std::vector<NodeId>& nodes) const {
   return acc;
 }
 
+bool NodeL0Bank::SumIsZero(const std::vector<NodeId>& nodes) const {
+  const size_t per_rep = params_.levels + 1;
+  for (size_t level0 = 0; level0 < stride_; level0 += per_rep) {
+    OneSparseCell sum;
+    for (NodeId u : nodes) sum.Merge(arena_.Slice(u)[level0]);
+    if (!sum.IsZero()) return false;
+  }
+  return true;
+}
+
 void NodeL0Bank::Merge(const NodeL0Bank& other) {
   assert(n_ == other.n_ && params_ == other.params_);
   for (NodeId u = 0; u < n_; ++u) {

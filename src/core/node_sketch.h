@@ -144,6 +144,11 @@ class NodeL0Bank {
   /// Sketch of Σ_{u∈nodes} x^u: supported on the edges leaving `nodes`.
   L0Sampler SumOver(const std::vector<NodeId>& nodes) const;
 
+  /// SumOver(nodes).IsZero() from the level-0 cells alone: the
+  /// fingerprint zero test of Σ_{u∈nodes} x^u in O(|nodes|·repetitions)
+  /// cells.
+  bool SumIsZero(const std::vector<NodeId>& nodes) const;
+
   /// Adds another bank with identical parameterization (distributed merge).
   void Merge(const NodeL0Bank& other);
 

@@ -60,6 +60,32 @@ bool ForestConnected(const Graph& forest, NodeId u, NodeId v) {
   return uf.Connected(u, v);
 }
 
+// `answer`, flagged when it rests on a component the forest decode could
+// not resolve (mincut's query flags its estimate the same way).
+std::string Flagged(std::string answer, bool unresolved) {
+  return unresolved ? answer + " (unresolved)" : answer;
+}
+
+// The decoded component count. An unresolved component may join others,
+// so the count is then only an upper bound.
+std::string ComponentsAnswer(const ForestDecode& d, const char* unit = "") {
+  return Flagged(std::to_string(d.components) + unit,
+                 d.unresolved_components > 0);
+}
+
+// Whole-graph connectivity: one component is never unresolved.
+std::string ConnectedAnswer(const ForestDecode& d) {
+  return d.components == 1 ? "yes"
+                           : Flagged("no", d.unresolved_components > 0);
+}
+
+// u and v joined by the decoded forest; a "no" rests on both components.
+std::string ConnectedAnswer(const ForestDecode& d, NodeId u, NodeId v) {
+  return ForestConnected(d.forest, u, v)
+             ? "yes"
+             : Flagged("no", d.unresolved[u] || d.unresolved[v]);
+}
+
 // Shared forwarding shell: holds the concrete sketch by value and routes
 // the uniform contract to it. Derived adapters add only what genuinely
 // differs per family (parameter summary, answer decoding, and the query
@@ -142,19 +168,20 @@ class ConnectivityAdapter final
            std::to_string(sk_.CellCount()) + " cells";
   }
   void PrintAnswer(std::FILE* out) const override {
-    std::fprintf(out, "components: %zu\nconnected:  %s\n",
-                 sk_.NumComponents(), sk_.IsConnected() ? "yes" : "no");
+    const ForestDecode d = sk_.Decode();
+    std::fprintf(out, "components: %s\nconnected:  %s\n",
+                 ComponentsAnswer(d).c_str(), ConnectedAnswer(d).c_str());
   }
   bool Query(const std::string& q, std::string* out,
              std::string* error) const override {
     const auto t = QueryTokens(q);
     if (!t.empty() && t[0] == "components") {
-      *out = std::to_string(sk_.NumComponents());
+      *out = ComponentsAnswer(sk_.Decode());
       return true;
     }
     if (!t.empty() && t[0] == "connected") {
       if (t.size() == 1) {
-        *out = sk_.IsConnected() ? "yes" : "no";
+        *out = ConnectedAnswer(sk_.Decode());
         return true;
       }
       if (t.size() != 3) {
@@ -168,7 +195,7 @@ class ConnectivityAdapter final
           !ParseQueryNode(t[2], sk_.num_nodes(), &v, error)) {
         return false;
       }
-      *out = ForestConnected(sk_.Forest(), u, v) ? "yes" : "no";
+      *out = ConnectedAnswer(sk_.Decode(), u, v);
       return true;
     }
     return LinearSketch::Query(q, out, error);
@@ -242,9 +269,9 @@ class KConnectAdapter final
            std::to_string(sk_.CellCount()) + " cells";
   }
   void PrintAnswer(std::FILE* out) const override {
-    std::fprintf(out, "witness min cut: %.0f\n%u-connected: %s\n",
-                 sk_.WitnessMinCut(), sk_.k(),
-                 sk_.IsKConnected() ? "yes" : "no");
+    const double cut = sk_.WitnessMinCut();
+    std::fprintf(out, "witness min cut: %.0f\n%u-connected: %s\n", cut,
+                 sk_.k(), sk_.Certifies(cut) ? "yes" : "no");
   }
   bool Query(const std::string& q, std::string* out,
              std::string* error) const override {
@@ -303,10 +330,10 @@ class ForestAdapter final
            std::to_string(sk_.CellCount()) + " cells";
   }
   void PrintAnswer(std::FILE* out) const override {
-    Graph f = sk_.ExtractForest();
-    std::fprintf(out, "# forest: %zu edges, %zu components\n", f.NumEdges(),
-                 f.NumComponents());
-    PrintWeightedEdges(out, f);
+    const ForestDecode d = sk_.Decode();
+    std::fprintf(out, "# forest: %zu edges, %s\n", d.forest.NumEdges(),
+                 ComponentsAnswer(d, " components").c_str());
+    PrintWeightedEdges(out, d.forest);
   }
   bool Query(const std::string& q, std::string* out,
              std::string* error) const override {
@@ -316,7 +343,7 @@ class ForestAdapter final
       return true;
     }
     if (!t.empty() && t[0] == "components") {
-      *out = std::to_string(sk_.ExtractForest().NumComponents());
+      *out = ComponentsAnswer(sk_.Decode());
       return true;
     }
     if (!t.empty() && t[0] == "connected" && t.size() == 3) {
@@ -325,7 +352,7 @@ class ForestAdapter final
           !ParseQueryNode(t[2], sk_.num_nodes(), &v, error)) {
         return false;
       }
-      *out = ForestConnected(sk_.ExtractForest(), u, v) ? "yes" : "no";
+      *out = ConnectedAnswer(sk_.Decode(), u, v);
       return true;
     }
     return LinearSketch::Query(q, out, error);
@@ -495,42 +522,51 @@ std::unique_ptr<LinearSketch> WrapDeserialized(std::optional<Sketch> sk) {
   return std::make_unique<A>(std::move(*sk));
 }
 
+// opt.forest with a repetition count of 0 resolved to the family's own.
+ForestOptions ForestOf(const AlgOptions& opt,
+                       uint32_t family_repetitions =
+                           ForestOptions{}.repetitions) {
+  ForestOptions forest = opt.forest;
+  if (forest.repetitions == 0) forest.repetitions = family_repetitions;
+  return forest;
+}
+
 std::unique_ptr<LinearSketch> MakeConnectivity(NodeId n,
                                                const AlgOptions& opt,
                                                uint64_t seed) {
   return std::make_unique<ConnectivityAdapter>(
-      ConnectivitySketch(n, opt.forest, seed));
+      ConnectivitySketch(n, ForestOf(opt, kConnectivityRepetitions), seed));
 }
 
 std::unique_ptr<LinearSketch> MakeBipartite(NodeId n, const AlgOptions& opt,
                                             uint64_t seed) {
   return std::make_unique<BipartiteAdapter>(
-      BipartitenessSketch(n, opt.forest, seed));
+      BipartitenessSketch(n, ForestOf(opt), seed));
 }
 
 std::unique_ptr<LinearSketch> MakeMst(NodeId n, const AlgOptions& opt,
                                       uint64_t seed) {
   // Unweighted stream ingestion: weight 1 for every edge, one threshold.
   return std::make_unique<MstAdapter>(
-      ApproxMstSketch(n, /*max_weight=*/1, opt.epsilon, opt.forest, seed));
+      ApproxMstSketch(n, /*max_weight=*/1, opt.epsilon, ForestOf(opt), seed));
 }
 
 std::unique_ptr<LinearSketch> MakeKConnect(NodeId n, const AlgOptions& opt,
                                            uint64_t seed) {
   return std::make_unique<KConnectAdapter>(
-      KConnectivityTester(n, opt.k, opt.forest, seed));
+      KConnectivityTester(n, opt.k, ForestOf(opt), seed));
 }
 
 std::unique_ptr<LinearSketch> MakeKEdge(NodeId n, const AlgOptions& opt,
                                         uint64_t seed) {
   return std::make_unique<KEdgeAdapter>(
-      KEdgeConnectSketch(n, opt.k, opt.forest, seed));
+      KEdgeConnectSketch(n, opt.k, ForestOf(opt), seed));
 }
 
 std::unique_ptr<LinearSketch> MakeForest(NodeId n, const AlgOptions& opt,
                                          uint64_t seed) {
   return std::make_unique<ForestAdapter>(
-      SpanningForestSketch(n, opt.forest, seed));
+      SpanningForestSketch(n, ForestOf(opt, kConnectivityRepetitions), seed));
 }
 
 std::unique_ptr<LinearSketch> MakeMinCut(NodeId n, const AlgOptions& opt,
@@ -539,7 +575,7 @@ std::unique_ptr<LinearSketch> MakeMinCut(NodeId n, const AlgOptions& opt,
   mopt.epsilon = opt.epsilon;
   mopt.k_scale = 2.0;
   mopt.max_level = opt.max_level;
-  mopt.forest = opt.forest;
+  mopt.forest = ForestOf(opt);
   return std::make_unique<MinCutAdapter>(MinCutSketch(n, mopt, seed));
 }
 
@@ -549,7 +585,7 @@ std::unique_ptr<LinearSketch> MakeSparsify(NodeId n, const AlgOptions& opt,
   sopt.epsilon = opt.epsilon;
   sopt.k_override = opt.k_override;
   sopt.max_level = opt.max_level;
-  sopt.forest = opt.forest;
+  sopt.forest = ForestOf(opt);
   return std::make_unique<SparsifyAdapter>(SimpleSparsifier(n, sopt, seed));
 }
 
@@ -559,7 +595,7 @@ std::unique_ptr<LinearSketch> MakeWSparsify(NodeId n, const AlgOptions& opt,
   sopt.epsilon = opt.epsilon;
   sopt.k_override = opt.k_override;
   sopt.max_level = opt.max_level;
-  sopt.forest = opt.forest;
+  sopt.forest = ForestOf(opt);
   return std::make_unique<WSparsifyAdapter>(
       WeightedSparsifier(n, opt.max_weight, sopt, seed));
 }

@@ -180,14 +180,28 @@ struct AlgHasApplyBatch<
              NodeId{}, std::declval<Span<const NodeId>>(),
              std::declval<Span<const int64_t>>()))>> : std::true_type {};
 
+/// The ℓ₀ repetition count the registered `connectivity` and `forest`
+/// families ship: one more than the smallest count whose measured forest
+/// failure curve read no wrong component count at the auto round count
+/// and two rounds fewer (docs/TESTING.md, "The forest failure curve"). The
+/// other forest-based families keep ForestOptions{}.repetitions until
+/// each has a curve of its own.
+inline constexpr uint32_t kConnectivityRepetitions = 3;
+
 /// Construction knobs the registry factories understand. Defaults match
 /// the historical CLI construction of each family, so registered runs are
-/// byte-compatible with pre-registry runs at the same seed. The non-CLI
-/// knobs below exist for benchmarks and embedders that tune space.
+/// byte-compatible with pre-registry runs at the same seed — except that
+/// `connectivity` and `forest` build kConnectivityRepetitions ℓ₀
+/// repetitions where they built 6. The non-CLI knobs below exist for
+/// benchmarks and embedders that tune space.
 struct AlgOptions {
   uint32_t k = 3;         ///< witness strength (kconnect, kedge)
   double epsilon = 0.5;   ///< target error (mincut, sparsify, mst)
-  ForestOptions forest;   ///< forest parameters for every forest-based alg
+  /// Forest parameters for every forest-based alg. Repetitions 0 is the
+  /// family's own count, as rounds 0 is the automatic round count:
+  /// kConnectivityRepetitions for connectivity and forest,
+  /// ForestOptions{}.repetitions for the others.
+  ForestOptions forest{/*rounds=*/0, /*repetitions=*/0};
   uint32_t max_level = 0;      ///< subsampling depth (mincut, sparsify);
                                ///< 0 = auto
   uint32_t k_override = 0;     ///< sparsify: exact k instead of the formula

@@ -54,12 +54,16 @@ void SpanningForestSketch::Merge(const SpanningForestSketch& other) {
   for (size_t i = 0; i < banks_.size(); ++i) banks_[i].Merge(other.banks_[i]);
 }
 
-Graph SpanningForestSketch::ExtractForest() const {
-  Graph forest(n_);
+ForestDecode SpanningForestSketch::Decode() const {
+  ForestDecode out;
+  out.forest = Graph(n_);
+  out.unresolved.assign(n_, false);
   UnionFind uf(n_);
   // Component member lists, merged small-into-large.
   std::vector<std::vector<NodeId>> members(n_);
   for (NodeId v = 0; v < n_; ++v) members[v] = {v};
+  // zero[root]: the component's cut sum tested zero, so it is final.
+  std::vector<bool> zero(n_, false);
 
   for (const auto& bank : banks_) {
     if (uf.NumComponents() == 1) break;
@@ -69,33 +73,49 @@ Graph SpanningForestSketch::ExtractForest() const {
       int64_t value;
     };
     std::vector<Candidate> picks;
+    bool live = false;  // some component's cut sum was not zero
     for (NodeId v = 0; v < n_; ++v) {
-      if (uf.Find(v) != v) continue;
+      if (uf.Find(v) != v || zero[v]) continue;
       L0Sampler sum = bank.SumOver(members[v]);
+      if (sum.IsZero()) {
+        zero[v] = true;
+        continue;
+      }
+      live = true;
       auto sample = sum.Sample();
-      if (!sample.has_value()) continue;
+      if (!sample.has_value()) continue;  // fail: the next round retries
       auto [a, b] = EdgeEndpoints(sample->index);
-      if (a >= n_ || b >= n_ || a == b) continue;  // decode glitch guard
+      if (a >= n_ || b >= n_ || a == b) continue;  // decode glitch: a fail
       picks.push_back(Candidate{a, b, sample->value});
     }
     for (const auto& c : picks) {
       size_t ra = uf.Find(c.a), rb = uf.Find(c.b);
       if (ra == rb) continue;
+      // The union is live, even if a false decode joined a zero component.
+      zero[ra] = zero[rb] = false;
       uf.Union(c.a, c.b);
       size_t winner = uf.Find(c.a);
       size_t loser = winner == ra ? rb : ra;
       members[winner].insert(members[winner].end(), members[loser].begin(),
                              members[loser].end());
       members[loser].clear();
-      forest.AddEdge(c.a, c.b, static_cast<double>(std::llabs(c.value)));
+      out.forest.AddEdge(c.a, c.b, static_cast<double>(std::llabs(c.value)));
     }
+    if (!live) break;  // every component is final
   }
-  return forest;
-}
 
-size_t SpanningForestSketch::CountComponents() const {
-  Graph forest = ExtractForest();
-  return forest.NumComponents();
+  out.components = uf.NumComponents();
+  if (out.components == 1) return out;
+  // A component never found zero is unresolved unless its cut sum tests
+  // zero now: a level-0 test of its members in one bank, O(n·R) cells in
+  // all. A sketch of no rounds measured nothing, so none resolves.
+  for (NodeId v = 0; v < n_; ++v) {
+    if (uf.Find(v) != v || zero[v]) continue;
+    if (!banks_.empty() && banks_.back().SumIsZero(members[v])) continue;
+    ++out.unresolved_components;
+    for (NodeId u : members[v]) out.unresolved[u] = true;
+  }
+  return out;
 }
 
 void SpanningForestSketch::DeleteEdges(const std::vector<WeightedEdge>& edges) {

@@ -7,6 +7,14 @@
 // component's cut, Eq. (1)); merge along sampled edges. O(log n) rounds
 // connect every component w.h.p. Fresh sketches per round keep the sampled
 // randomness independent of the (adaptively chosen) component structure.
+//
+// A round's sample of a component is one of three things: an edge; "zero",
+// when the sum's level-0 fingerprint test holds (the component has no
+// crossing edge, so it is final and skips the later rounds); or "fail",
+// when no repetition decodes or the decoded slot is not an edge. A fail is
+// retried by the next round. After the last round a final component never
+// found zero gets one more level-0 test; if its cut sum is still not zero,
+// the decode could not resolve it and says so (ForestDecode::unresolved).
 #ifndef GRAPHSKETCH_SRC_CORE_SPANNING_FOREST_H_
 #define GRAPHSKETCH_SRC_CORE_SPANNING_FOREST_H_
 
@@ -19,10 +27,25 @@
 
 namespace gsketch {
 
-/// Parameters shared by the connectivity-based sketches.
+/// Parameters shared by the connectivity-based sketches. The registry
+/// (src/core/sketch_registry.h) builds `connectivity` and `forest` with
+/// fewer repetitions than this default.
 struct ForestOptions {
   uint32_t rounds = 0;       ///< Boruvka rounds; 0 = auto (ceil(log2 n)+2).
   uint32_t repetitions = 6;  ///< ℓ₀-sampler repetitions per node per round.
+};
+
+/// One Borůvka decode: the sampled spanning forest and the final
+/// components whose cut it could not resolve.
+struct ForestDecode {
+  Graph forest;  ///< sampled edges, weighted by |aggregate value|
+  /// Per node: its final component's cut sum is not zero, so no round
+  /// sampled one of the component's crossing edges and the component may
+  /// join others the forest does not show. All false when the decode ends
+  /// with one component.
+  std::vector<bool> unresolved;
+  size_t components = 0;             ///< components of `forest`
+  size_t unresolved_components = 0;  ///< of them, how many are unresolved
 };
 
 /// Linear sketch from which a spanning forest of the streamed graph can be
@@ -61,14 +84,17 @@ class SpanningForestSketch {
     return n_ != other.n_ ? "n" : ListMismatch(banks_, other.banks_, "rounds");
   }
 
-  /// Extracts a spanning forest. Edge weights carry the |aggregate value|
-  /// of the sampled edge slot (the edge multiplicity, or the integer edge
-  /// weight when callers encode weights as multiplicities). Does not mutate
-  /// the sketch.
-  Graph ExtractForest() const;
+  /// Runs the Borůvka decode (file comment). Forest edge weights carry the
+  /// |aggregate value| of the sampled edge slot (the edge multiplicity, or
+  /// the integer edge weight when callers encode weights as
+  /// multiplicities). Does not mutate the sketch.
+  ForestDecode Decode() const;
 
-  /// Number of connected components implied by ExtractForest().
-  size_t CountComponents() const;
+  /// The forest of Decode().
+  Graph ExtractForest() const { return Decode().forest; }
+
+  /// Number of connected components of ExtractForest().
+  size_t CountComponents() const { return Decode().components; }
 
   /// Applies a batch of edge deletions (used by k-EDGECONNECT peeling).
   /// `weight` entries give the multiplicity to remove per edge.

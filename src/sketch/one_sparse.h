@@ -21,8 +21,9 @@
 // caps a cell's total |multiplicity| near 2^63 / C(n,2): about 2^40 at
 // n = 4096 and 2^24 at n = 2^20 (subset columns C(n,k) cap it sooner).
 // Past the cap the sum overflows, the fingerprint rejects the decode, and a
-// sampler reports no sample, so a forest silently drops the edge (the
-// FOUND line on one_sparse.h in CHANGES.md has a CLI repro).
+// sampler reports no sample, so a forest cannot sample the edge; the
+// forest decode then reports its component unresolved (docs/CLI.md,
+// "Unresolved answers", has a CLI repro).
 #ifndef GRAPHSKETCH_SRC_SKETCH_ONE_SPARSE_H_
 #define GRAPHSKETCH_SRC_SKETCH_ONE_SPARSE_H_
 

@@ -402,8 +402,8 @@ TEST_F(Cli, CheckpointResumeInspect) {
   EXPECT_RUN(Sh("gsketch resume - c.gskc", Read("s.gskb")), 0, answer,
              resuming);
   EXPECT_RUN(Sh("gsketch inspect c.gskc"), 0,
-             "algorithm:  connectivity\nstream pos: 3\npayload:    22356 "
-             "bytes\nsketch:     connectivity: n=6, 900 cells\n",
+             "algorithm:  connectivity\nstream pos: 3\npayload:    11556 "
+             "bytes\nsketch:     connectivity: n=6, 450 cells\n",
              "");
   EXPECT_RUN(Sh("gsketch checkpoint kedge 6 - k.gskc --k 2", kStreamText), 0,
              "", "checkpointed kedge after 3/6 updates to k.gskc\n");
@@ -427,14 +427,14 @@ TEST_F(Cli, ShardMergeMatchesTheGoldenCheckpoint) {
              "site.shard*.gskc\n");
   EXPECT_RUN(Sh("gsketch merge m.gskc site.shard0.gskc site.shard1.gskc"), 0,
              "", "merged 2 sketches (connectivity, 12 updates) into m.gskc\n");
-  EXPECT_EQ(Read("m.gskc"), Data("golden_merged.gskc"));
+  EXPECT_EQ(Read("m.gskc"), Data("golden_merged_r3.gskc"));
   EXPECT_RUN(Sh("gsketch resume g.gskb site.shard0.gskc"), 1, "",
              "error: site.shard0.gskc covers 6 of 12 updates as a non-prefix "
              "shard subset; merge all shards before resuming\n");
   EXPECT_RUN(Sh("gsketch inspect site.shard1.gskc"), 0,
              "algorithm:  connectivity\nstream pos: 6 (shard subset, not a "
-             "prefix)\npayload:    35556 bytes\nsketch:     connectivity: "
-             "n=8, 1440 cells\n",
+             "prefix)\npayload:    18276 bytes\nsketch:     connectivity: "
+             "n=8, 720 cells\n",
              "");
   EXPECT_RUN(Sh("gsketch resume g.gskb m.gskc"), 0,
              "components: 1\nconnected:  yes\n",
@@ -488,6 +488,52 @@ TEST_F(Cli, MergeRefusesSketchesMeasuredDifferently) {
   EXPECT_RUN(Sh("gsketch resume all.txt m.gskc"), 0,
              "components: 1\nconnected:  yes\n",
              "resuming connectivity at update 3/3\n");
+}
+
+// Checkpoints written at 6 ℓ₀ repetitions, before connectivity shipped
+// kConnectivityRepetitions, keep resuming at 6; merge refuses to add one
+// to a checkpoint at today's count, naming the field.
+TEST_F(Cli, SixRepetitionCheckpointsResumeButDoNotMergeWithNewOnes) {
+  Write("g.gskb", Data("golden_stream.gskb"));
+  Write("old.gskc", Data("golden_connectivity.gskc"));
+  EXPECT_RUN(Sh("gsketch inspect old.gskc"), 0,
+             "algorithm:  connectivity\nstream pos: 7\npayload:    35556 "
+             "bytes\nsketch:     connectivity: n=8, 1440 cells\n",
+             "");
+  EXPECT_RUN(Sh("gsketch resume g.gskb old.gskc"), 0,
+             "components: 1\nconnected:  yes\n",
+             "resuming connectivity at update 7/12\n");
+  EXPECT_RUN(Sh("gsketch checkpoint connectivity --at 7 8 g.gskb n.gskc 42"),
+             0, "", "checkpointed connectivity after 7/12 updates to n.gskc\n");
+  EXPECT_RUN(Sh("gsketch merge m.gskc old.gskc n.gskc"), 1, "",
+             "error: n.gskc: connectivity: incompatible sketches: "
+             "repetitions differs\n");
+  EXPECT_RUN(Sh("gsketch inspect m.gskc"), 1, "",
+             "error: cannot open m.gskc\n");
+}
+
+// One edge whose multiplicity times its slot index leaves int64: every
+// level's fingerprint rejects the decode, so no round samples the edge.
+// The cut sum is still not zero, and the answers say so.
+TEST_F(Cli, AnAnswerTheDecodeCouldNotResolveIsFlagged) {
+  Write("w.txt", "4094 4095 2000000000000\n");
+  EXPECT_RUN(Sh("gsketch connectivity 4096 w.txt"), 0,
+             "components: 4096 (unresolved)\nconnected:  no (unresolved)\n",
+             "");
+  EXPECT_RUN(Sh("gsketch forest 4096 w.txt"), 0,
+             "# forest: 0 edges, 4096 components (unresolved)\n", "");
+  // Served answers carry the flag too, once a deleted forest edge hands
+  // them from serve's exact insert-only forest back to the sketch.
+  Write("d.txt", "0 1 1\n0 1 -1\n4094 4095 2000000000000\n");
+  Write("q.txt",
+        "end components\nend connected\nend connected 4094 4095\n"
+        "end connected 0 1\n");
+  EXPECT_RUN(Sh("gsketch serve connectivity 4096 d.txt --queries q.txt"), 0,
+             "@3 components => 4096 (unresolved)\n"
+             "@3 connected => no (unresolved)\n"
+             "@3 connected 4094 4095 => no (unresolved)\n"
+             "@3 connected 0 1 => no\n",
+             kAnyErr);
 }
 
 TEST_F(Cli, SpannerAndStats) {

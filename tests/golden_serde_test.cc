@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <utility>
 
 #include "src/core/sparsifier.h"
 #include "src/driver/binary_stream.h"
@@ -99,41 +100,54 @@ TEST(GoldenSerde, CheckpointFixtureParsesAndResumes) {
 }
 
 TEST(GoldenSerde, MergedFixtureEqualsShardMergeOfTheGoldenStream) {
-  // tests/data/golden_merged.gskc is the `gsketch shard --shards 2` +
+  // tests/data/golden_merged_r3.gskc is the `gsketch shard --shards 2` +
   // `merge` product over the golden stream at seed 42 — the exact bytes
-  // the CLI must keep reproducing (the CI smoke job diffs against it).
-  // Its payload equals the full-stream connectivity sketch (linearity);
-  // its envelope carries the shard flag with full-stream coverage, so
-  // `resume` accepts it and replays nothing. Rebuild it here from shards
-  // through the library API.
-  std::string error;
-  auto fixture = ReadCheckpointFile(DataPath("golden_merged.gskc"), &error);
-  ASSERT_TRUE(fixture.has_value()) << error;
-  EXPECT_EQ(fixture->alg, CheckpointAlg::kConnectivity);
-  EXPECT_EQ(fixture->stream_pos, kGoldenUpdates);
-  EXPECT_EQ(fixture->flags, kCheckpointFlagShard);
-
+  // the CLI must keep reproducing (the CI smoke job diffs against it). It
+  // was written at kConnectivityRepetitions ℓ₀ repetitions; the older
+  // golden_merged.gskc, written at 6, must keep reading, answering and
+  // matching a 6-repetition rebuild. Each payload equals the full-stream
+  // connectivity sketch (linearity); each envelope carries the shard flag
+  // with full-stream coverage, so `resume` accepts it and replays
+  // nothing. Rebuild both here from shards through the library API.
   auto s = ReadBinaryStream(DataPath("golden_stream.gskb"));
   ASSERT_TRUE(s.has_value());
   const AlgInfo* info = FindAlg(CheckpointAlg::kConnectivity);
   ASSERT_NE(info, nullptr);
-  std::unique_ptr<LinearSketch> merged;
-  constexpr size_t kShards = 2;
-  for (size_t j = 0; j < kShards; ++j) {
-    auto site = info->make(kGoldenN, AlgOptions{}, /*seed=*/42);
-    for (size_t i = j; i < s->Size(); i += kShards) {
-      const auto& e = s->Updates()[i];
-      site->Update(e.u, e.v, e.delta);
+  AlgOptions six;
+  six.forest.repetitions = 6;
+  for (const auto& [name, opt] :
+       {std::pair<const char*, AlgOptions>{"golden_merged_r3.gskc", {}},
+        {"golden_merged.gskc", six}}) {
+    SCOPED_TRACE(name);
+    std::string error;
+    auto fixture = ReadCheckpointFile(DataPath(name), &error);
+    ASSERT_TRUE(fixture.has_value()) << error;
+    EXPECT_EQ(fixture->alg, CheckpointAlg::kConnectivity);
+    EXPECT_EQ(fixture->stream_pos, kGoldenUpdates);
+    EXPECT_EQ(fixture->flags, kCheckpointFlagShard);
+
+    std::unique_ptr<LinearSketch> merged;
+    constexpr size_t kShards = 2;
+    for (size_t j = 0; j < kShards; ++j) {
+      auto site = info->make(kGoldenN, opt, /*seed=*/42);
+      for (size_t i = j; i < s->Size(); i += kShards) {
+        const auto& e = s->Updates()[i];
+        site->Update(e.u, e.v, e.delta);
+      }
+      if (merged == nullptr) {
+        merged = std::move(site);
+      } else {
+        ASSERT_TRUE(merged->Merge(*site, &error)) << error;
+      }
     }
-    if (merged == nullptr) {
-      merged = std::move(site);
-    } else {
-      ASSERT_TRUE(merged->Merge(*site, &error)) << error;
-    }
+    std::string bytes;
+    merged->AppendTo(&bytes);
+    EXPECT_EQ(bytes, fixture->payload);
+
+    auto restored = RestoreSketch(*fixture, &error);
+    ASSERT_NE(restored, nullptr) << error;
+    EXPECT_EQ(AnswerString(*restored), "components: 1\nconnected:  yes\n");
   }
-  std::string bytes;
-  merged->AppendTo(&bytes);
-  EXPECT_EQ(bytes, fixture->payload);
 }
 
 TEST(GoldenSerde, WideDeltaFixtureKeepsItsSplitRecords) {
@@ -231,14 +245,14 @@ TEST(GoldenSerde, EveryFamilyPayloadDigestIsPinned) {
     uint64_t fnv1a;
   };
   const Pinned kPinned[] = {
-      {"connectivity", 35556, 0x75bb1ba25c392f2aULL},
+      {"connectivity", 18276, 0xd8b64c410113489bULL},
       {"bipartite", 148492, 0x2c135208a83e3eedULL},
       {"mincut", 5972848, 0x372edcd0326a3fe2ULL},
       {"sparsify", 2239888, 0xc1f55fa4b106b505ULL},
       {"triangles", 208960, 0x968e685ffab5c9acULL},
       {"kconnect", 106676, 0x928ec91efd0684a1ULL},
       {"kedge", 106668, 0xf0cd6c6e9d70aa0bULL},
-      {"forest", 35552, 0x5548c12cb1df673eULL},
+      {"forest", 18272, 0x1b509ceda3faa6d6ULL},
       {"mst", 35572, 0x106bcb1418ed1ec9ULL},
       {"wsparsify", 8959348, 0xa8557606a0d34ec2ULL},
   };

@@ -88,7 +88,10 @@ TEST(SharedQueue, HotSpotStreamReachesEveryWorker) {
   constexpr uint32_t kWorkers = 3;
   DynamicGraphStream s(n);
   Rng rng(11);
-  for (int i = 0; i < 20000; ++i) {
+  // Long enough that parked workers wake before the producer is done: a
+  // virtualized host can take several ms to wake a parked thread, and
+  // 20000 tokens ingested in about 3 ms at the connectivity default.
+  for (int i = 0; i < 60000; ++i) {
     const NodeId v = kWorkers * (1 + rng.Below((n - 1) / kWorkers));
     s.Push(0, v, +1);
   }

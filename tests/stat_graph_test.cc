@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/core/baswana_sen.h"
@@ -35,58 +37,195 @@ Graph Cycle(NodeId n) {
   return g;
 }
 
-// Row 3 — forest decode of the registered `connectivity` family at its
-// shipped ForestOptions, n = 1024, against union-find truth: the
-// component count and two `connected` queries. AGM12's Borůvka decode
-// succeeds with high probability.
-TEST(StatGraph, ForestDecode) {
-  constexpr NodeId kN = 1024;
-  StatRow row("forest decode (registered connectivity, n=1024)",
-              WhpFailure(kN));
-  Graph path(kN), star(kN);
-  for (NodeId v = 1; v < kN; ++v) {
+// Row 3's inputs at n = 1024 for one seed: a path, a star, a 32×32 grid,
+// ER(n, 0.6n), a dumbbell of two ER(512, 0.02) halves, and 2n edges with
+// 60 % deleted again (its deletions draw from `rng`).
+constexpr NodeId kForestN = 1024;
+constexpr uint32_t kAutoRounds = 12;  // ⌈log₂ n⌉ + 2 at n = 1024
+
+std::vector<std::pair<std::string, DynamicGraphStream>> ForestShapes(
+    uint64_t seed, Rng* rng) {
+  Graph path(kForestN), star(kForestN);
+  for (NodeId v = 1; v < kForestN; ++v) {
     path.AddEdge(v - 1, v);
     star.AddEdge(0, v);
   }
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    // 2n edges, 60 % of them deleted again.
-    DynamicGraphStream churn(kN);
-    const Graph dense = ErdosRenyiM(kN, 2 * kN, seed);
+  DynamicGraphStream churn(kForestN);
+  const Graph dense = ErdosRenyiM(kForestN, 2 * kForestN, seed);
+  for (const auto& e : dense.Edges()) churn.Push(e.u, e.v, 1);
+  for (const auto& e : dense.Edges()) {
+    if (rng->Below(10) < 6) churn.Push(e.u, e.v, -1);
+  }
+  return {
+      {"path", DynamicGraphStream::FromGraph(path)},
+      {"star", DynamicGraphStream::FromGraph(star)},
+      {"grid 32x32", DynamicGraphStream::FromGraph(GridGraph(32, 32))},
+      {"ER(n, 0.6n)", DynamicGraphStream::FromGraph(
+                          ErdosRenyiM(kForestN, 6 * kForestN / 10, seed))},
+      {"dumbbell 2 x ER(512, 0.02)",
+       DynamicGraphStream::FromGraph(Dumbbell(kForestN / 2, 0.02, 1, seed))},
+      {"ER(n, 2n), 60% deleted", churn},
+  };
+}
+
+// One forest-decode trial: the registered `connectivity` family's
+// `components` answer and two `connected u v` answers (u and v drawn from
+// `rng`), against union-find truth.
+struct ForestTrial {
+  bool count_wrong = false;    // the count differs from the truth
+  bool count_flagged = false;  // the count says "(unresolved)"
+  bool wrong = false;          // any answer differs, flag aside
+  bool wrong_unflagged = false;  // a wrong answer without the flag
+};
+
+ForestTrial RunForestTrial(const DynamicGraphStream& stream, uint64_t seed,
+                           const AlgOptions& opt, Rng* rng) {
+  const Graph g = stream.Materialize();
+  UnionFind truth(kForestN);
+  for (const auto& e : g.Edges()) truth.Union(e.u, e.v);
+  // One ApplyBatch per endpoint: the bytes of SketchOf's token-by-token
+  // ingestion (linearity; the parity tier proves it), at a fraction of
+  // its cost.
+  auto sk = FindAlg("connectivity")->make(kForestN, opt, seed);
+  std::vector<std::vector<NodeId>> others(kForestN);
+  std::vector<std::vector<int64_t>> deltas(kForestN);
+  stream.Replay([&](NodeId u, NodeId v, int64_t d) {
+    others[u].push_back(v);
+    deltas[u].push_back(d);
+    others[v].push_back(u);
+    deltas[v].push_back(d);
+  });
+  for (NodeId x = 0; x < kForestN; ++x) {
+    sk->ApplyBatch(x, others[x], deltas[x]);
+  }
+  ForestTrial t;
+  auto check = [&t](const std::string& answer, const std::string& want) {
+    const bool flagged = answer.find(" (unresolved)") != std::string::npos;
+    const bool wrong = answer.substr(0, answer.find(' ')) != want;
+    t.wrong = t.wrong || wrong;
+    t.wrong_unflagged = t.wrong_unflagged || (wrong && !flagged);
+    return std::pair<bool, bool>{wrong, flagged};
+  };
+  std::tie(t.count_wrong, t.count_flagged) =
+      check(MustQuery(*sk, "components"),
+            std::to_string(truth.NumComponents()));
+  const NodeId u = static_cast<NodeId>(rng->Below(kForestN));
+  for (NodeId v : {kForestN - 1, static_cast<NodeId>(rng->Below(kForestN))}) {
+    if (u == v) continue;
+    check(MustQuery(*sk, "connected " + std::to_string(u) + " " +
+                             std::to_string(v)),
+          truth.Connected(u, v) ? "yes" : "no");
+  }
+  return t;
+}
+
+// Row 3 — forest decode of the registered `connectivity` family at the
+// options it ships (kConnectivityRepetitions), n = 1024, against
+// union-find truth: the component count, right and unflagged, and two
+// `connected` queries, right. AGM12's Borůvka decode succeeds with high
+// probability.
+TEST(StatGraph, ForestDecode) {
+  StatRow row("forest decode (registered connectivity, n=1024)",
+              WhpFailure(kForestN));
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
     Rng rng(seed);
-    for (const auto& e : dense.Edges()) churn.Push(e.u, e.v, 1);
-    for (const auto& e : dense.Edges()) {
-      if (rng.Below(10) < 6) churn.Push(e.u, e.v, -1);
-    }
-    const std::vector<std::pair<std::string, DynamicGraphStream>> shapes = {
-        {"path", DynamicGraphStream::FromGraph(path)},
-        {"star", DynamicGraphStream::FromGraph(star)},
-        {"grid 32x32", DynamicGraphStream::FromGraph(GridGraph(32, 32))},
-        {"ER(n, 0.6n)",
-         DynamicGraphStream::FromGraph(ErdosRenyiM(kN, 6 * kN / 10, seed))},
-        {"dumbbell 2 x ER(512, 0.02)",
-         DynamicGraphStream::FromGraph(Dumbbell(kN / 2, 0.02, 1, seed))},
-        {"ER(n, 2n), 60% deleted", churn},
-    };
-    for (const auto& [shape, stream] : shapes) {
+    for (const auto& [shape, stream] : ForestShapes(seed, &rng)) {
       const std::string trial = TrialName(shape, seed);
       SCOPED_TRACE(trial);
-      const Graph g = stream.Materialize();
-      UnionFind truth(kN);
-      for (const auto& e : g.Edges()) truth.Union(e.u, e.v);
-      auto sk = SketchOf("connectivity", stream, seed);
-      bool ok = MustQuery(*sk, "components") ==
-                std::to_string(truth.NumComponents());
-      const NodeId u = static_cast<NodeId>(rng.Below(kN));
-      for (NodeId v : {kN - 1, static_cast<NodeId>(rng.Below(kN))}) {
-        if (u == v) continue;
-        const std::string q =
-            "connected " + std::to_string(u) + " " + std::to_string(v);
-        ok = ok && MustQuery(*sk, q) == (truth.Connected(u, v) ? "yes" : "no");
-      }
-      row.Record(ok, trial);
+      const ForestTrial t = RunForestTrial(stream, seed, AlgOptions{}, &rng);
+      row.Record(!t.wrong && !t.count_flagged, trial);
     }
   }
   row.Check();
+}
+
+// Row 3b — the unresolved flag, at a deliberately starved setting: one
+// repetition and auto − 4 = 8 rounds on row 3's inputs, where many
+// component counts come out wrong. Every wrong answer is flagged
+// "(unresolved)", and no right count is: a wrong count leaves a final
+// component with a crossing edge, whose cut sum the final zero test sees
+// (up to a 2⁻⁶¹ fingerprint collision); a right one leaves none.
+TEST(StatGraph, ForestDecodeFlagsWhatItCannotResolve) {
+  StatRow unflagged("starved forest decode: a wrong answer is flagged", 0.0);
+  StatRow overflagged("starved forest decode: a right count is not flagged",
+                      0.0);
+  AlgOptions starved;
+  starved.forest.repetitions = 1;
+  starved.forest.rounds = kAutoRounds - 4;
+  uint32_t wrong_counts = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    for (const auto& [shape, stream] : ForestShapes(seed, &rng)) {
+      const std::string trial = TrialName(shape, seed);
+      SCOPED_TRACE(trial);
+      const ForestTrial t = RunForestTrial(stream, seed, starved, &rng);
+      wrong_counts += t.count_wrong;
+      unflagged.Record(!t.wrong_unflagged, trial);
+      overflagged.Record(t.count_wrong || !t.count_flagged, trial);
+    }
+  }
+  std::printf("[stat] starved forest decode: %u wrong counts\n",
+              wrong_counts);
+  EXPECT_GT(wrong_counts, 0u) << "the starved setting no longer starves";
+  unflagged.Check();
+  overflagged.Check();
+}
+
+// The forest failure curve behind kConnectivityRepetitions (not run by
+// ctest; docs/TESTING.md gives the command and the table it printed):
+// registered `connectivity` at R = 1…6 ℓ₀ repetitions on row 3's inputs,
+// seeds 1–100, at the auto round count and at auto − 2 and auto − 4. The
+// shipped count is 1 + the smallest R with no wrong count at both auto
+// and auto − 2 rounds.
+TEST(StatGraph, DISABLED_ForestFailureCurve) {
+  constexpr uint32_t kMaxReps = 6;
+  constexpr uint64_t kSeeds = 100;
+  const std::pair<uint32_t, const char*> round_counts[] = {
+      {kAutoRounds, " (auto)"},
+      {kAutoRounds - 2, " (auto − 2)"},
+      {kAutoRounds - 4, " (auto − 4)"}};
+  std::printf("| rounds |");
+  for (uint32_t reps = 1; reps <= kMaxReps; ++reps) {
+    std::printf(" R = %u |", reps);
+  }
+  std::printf("\n|---|");
+  for (uint32_t reps = 1; reps <= kMaxReps; ++reps) std::printf("---|");
+  std::printf("\n");
+  // wrong[r][reps - 1]: wrong counts at round_counts[r].
+  uint32_t wrong[3][kMaxReps] = {};
+  uint32_t unflagged = 0, overflagged = 0;
+  for (size_t r = 0; r < 3; ++r) {
+    std::printf("| %u%s |", round_counts[r].first, round_counts[r].second);
+    for (uint32_t reps = 1; reps <= kMaxReps; ++reps) {
+      AlgOptions opt;
+      opt.forest.repetitions = reps;
+      opt.forest.rounds = round_counts[r].first;
+      uint32_t trials = 0;
+      for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        Rng rng(seed);
+        for (const auto& [shape, stream] : ForestShapes(seed, &rng)) {
+          const ForestTrial t = RunForestTrial(stream, seed, opt, &rng);
+          ++trials;
+          wrong[r][reps - 1] += t.count_wrong;
+          unflagged += t.wrong_unflagged;
+          overflagged += !t.count_wrong && t.count_flagged;
+        }
+      }
+      std::printf(" %u/%u |", wrong[r][reps - 1], trials);
+      std::fflush(stdout);
+    }
+    std::printf("\n");
+  }
+  uint32_t clean = 0;  // the smallest R clean at auto and auto − 2
+  for (uint32_t reps = kMaxReps; reps >= 1; --reps) {
+    if (wrong[0][reps - 1] == 0 && wrong[1][reps - 1] == 0) clean = reps;
+  }
+  std::printf("wrong answers not flagged: %u; right counts flagged: %u\n",
+              unflagged, overflagged);
+  std::printf("rule: 1 + the smallest clean R = %u\n", clean + 1);
+  EXPECT_EQ(unflagged, 0u);
+  EXPECT_EQ(overflagged, 0u);
+  EXPECT_EQ(clean + 1, kConnectivityRepetitions);
 }
 
 // Row 4 — Theorem 2.3: the k-EDGECONNECT witness H satisfies, for every

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/sketch_registry.h"
@@ -96,6 +97,50 @@ TEST(StatSketch, L0SamplingThm21) {
   }
   fails.Check();
   singleton.Check();
+  wrong.Check();
+}
+
+// Row 1b — Theorem 2.1 at the count the registered `connectivity` and
+// `forest` families ship (kConnectivityRepetitions), on row 1's vectors:
+// a sampler of a support s >= 2 fails with p <= 3^-R, and a sample is
+// always in the support with its exact value.
+TEST(StatSketch, L0SamplingAtConnectivityRepetitions) {
+  const uint32_t reps = kConnectivityRepetitions;
+  StatRow fails("Thm 2.1 l0 sampler (" + std::to_string(reps) +
+                    " repetitions, connectivity) returns no sample",
+                std::pow(3.0, -static_cast<double>(reps)));
+  StatRow wrong("Thm 2.1 l0 sample (" + std::to_string(reps) +
+                    " repetitions) outside the support or with a wrong value",
+                0.0);
+  constexpr uint64_t kDomain = uint64_t{1} << 20;
+  for (const auto& [support, trials] :
+       {std::pair<size_t, int>{2, 3000}, {3, 1000}, {8, 500}, {64, 200},
+        {512, 50}}) {
+    for (int t = 0; t < trials; ++t) {
+      const uint64_t seed = support * 100003 + t;
+      const std::string trial =
+          TrialName("support " + std::to_string(support), seed);
+      SCOPED_TRACE(trial);
+      Rng rng(seed);
+      auto x = RandomVector(kDomain, support, &rng);
+      auto decoys = RandomVector(kDomain, support, &rng);
+      L0Sampler s(kDomain, reps, seed);
+      for (const auto& [i, v] : decoys) {
+        if (x.count(i) == 0) s.Update(i, v);
+      }
+      for (const auto& [i, v] : x) s.Update(i, v);
+      for (const auto& [i, v] : decoys) {
+        if (x.count(i) == 0) s.Update(i, -v);
+      }
+      auto r = s.Sample();
+      fails.Record(r.has_value(), trial);
+      if (r.has_value()) {
+        auto it = x.find(r->index);
+        wrong.Record(it != x.end() && it->second == r->value, trial);
+      }
+    }
+  }
+  fails.Check();
   wrong.Check();
 }
 
